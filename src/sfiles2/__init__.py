@@ -1,7 +1,16 @@
 """Bidirectional codec between flowsheet graphs and SFILES 2.0 strings."""
 
-from .canon import MorganState, RankTable, TAG_RANK, break_ties, morgan_iterate, rank_graph
-from .encode import GENERALIZED, NUMBERED, EmissionPlan, SfilesString, emit, encode, traverse
+from .canon import MorganState, RankTable, TAG_RANK, break_ties, morgan_iterate
+from .encode import (
+    GENERALIZED,
+    NUMBERED,
+    EmissionPlan,
+    SfilesString,
+    emit,
+    encode,
+    rank_graph,
+    traverse,
+)
 from .errors import (
     EncodeError,
     GraphInvariantError,

@@ -3,14 +3,18 @@
 Ranking runs in two stages per connected component: iterative Morgan
 refinement over the undirected material graph, then rule based
 tie-breaking inside the surviving equivalence classes.  The resulting
-rank order is what makes string emission deterministic.
+rank order is what makes string emission deterministic.  Components of
+equal size are ordered by their strings, next to the string code in
+``encode``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import add
 
-from .model import MATERIAL, FlowsheetGraph
+from .model import COLUMN_TAGS, EDGE_KINDS, MATERIAL, FlowsheetGraph
 
 # Collation order for column tags in tie-break descriptors: inlets
 # before draws, bottoms feed first, top draw before bottoms draw.
@@ -18,6 +22,20 @@ from .model import MATERIAL, FlowsheetGraph
 TAG_RANK = {None: -1, "bin": 0, "tin": 1, "tout": 2, "bout": 3}
 
 _CATEGORY_PRIO = {"C": 0, "prod": 1, "raw": 2}
+
+# Refinement descriptors are (direction, kind, tag, neighbor color)
+# tuples.  Numbering the first three in their sorted order lets one
+# descriptor pack into the int ``code * n + color``, which sorts like the
+# tuple because colors stay below n.
+_DESC_CODE = {
+    key: i
+    for i, key in enumerate(
+        sorted(
+            [("grp", "", "")]
+            + [(d, k, t) for d in ("in", "out") for k in EDGE_KINDS for t in ("", *COLUMN_TAGS)]
+        )
+    )
+}
 
 
 @dataclass
@@ -59,32 +77,53 @@ def morgan_iterate(
     the best discrimination.
     """
     names = list(nodes) if nodes is not None else graph.nodes()
-    members = set(names)
-    nbrs: dict[str, list[str]] = {n: [] for n in names}
-    for src, dst, attr in graph.edges():
-        if attr.kind != MATERIAL or src not in members or dst not in members:
-            continue
-        nbrs[src].append(dst)
-        nbrs[dst].append(src)
+    index = {n: i for i, n in enumerate(names)}
+    nbrs: list[list[int]] = [[] for _ in names]
+    for i, n in enumerate(names):
+        for dst, _attr in graph.out_edges(n, MATERIAL):
+            j = index.get(dst)
+            if j is not None:
+                nbrs[i].append(j)
+                nbrs[j].append(i)
 
-    value = {n: 1 for n in names}
-    best = len(set(value.values()))
-    snapshot = MorganState(dict(value), best, 0)
+    # Values are kept in order of neighbor count, and each run of nodes
+    # with k neighbors sums its neighbors column by column, so a round
+    # loops in C rather than once per node in Python.
+    perm = sorted(range(len(names)), key=lambda i: len(nbrs[i]))
+    where = [0] * len(names)
+    for p, i in enumerate(perm):
+        where[i] = p
+    runs = []
+    for degree, run in groupby(perm, key=lambda i: len(nbrs[i])):
+        run = list(run)
+        runs.append((len(run), [[where[nbrs[i][k]] for i in run] for k in range(degree)]))
+
+    value = [1] * len(names)
+    best = len(set(value))
+    peak, peak_iteration = value, 0
     stagnant = 0
     for it in range(1, 2 * len(names) + 1):
         if best == len(names):
             break  # fully discriminated, nothing left to refine
-        value = {n: sum(value[m] for m in nbrs[n]) for n in names}
-        distinct = len(set(value.values()))
+        get = value.__getitem__
+        value = []
+        for size, columns in runs:
+            if not columns:
+                value += [0] * size
+                continue
+            total = map(get, columns[0])
+            for column in columns[1:]:
+                total = list(map(add, total, map(get, column)))
+            value += total
+        distinct = len(set(value))
         if distinct > best:
-            best = distinct
-            snapshot = MorganState(dict(value), best, it)
+            best, peak, peak_iteration = distinct, value, it
             stagnant = 0
         else:
             stagnant += 1
             if stagnant >= stagnation_window:
                 break
-    return snapshot
+    return MorganState(dict(zip(names, map(peak.__getitem__, where))), best, peak_iteration)
 
 
 def _refine_colors(graph: FlowsheetGraph) -> dict[str, int]:
@@ -102,48 +141,146 @@ def _refine_colors(graph: FlowsheetGraph) -> dict[str, int]:
     partner entries matter for the same reason: sharing a shell with an
     exchanger elsewhere in the plant is part of the drawing, so a
     grouped unit must never tie with an otherwise identical lone one.
+
+    Rounds are synchronous, and each one yields the classes and the
+    class order that re-sorting every node would.  A class is an
+    interval of the color order and colors by its first position, so a
+    split never moves another class and descriptors only compare
+    positions.  A round re-keys only the nodes next to a node that
+    changed class in the previous round, plus one untouched member per
+    touched class to stand for the rest, whose descriptors cannot have
+    changed.  The largest part of a split keeps its class, so a node
+    changes class only when its class at least halves, and the whole
+    refinement costs O((n + m) log n) descriptor entries.
     """
     names = graph.nodes()
-    partners: dict[str, list[str]] = {n: [] for n in names}
-    for members in graph.equipment_groups().values():
-        if len(members) < 2:
+    n = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    # Per node: (code * n, j) for every incident edge and partner j.
+    inc: list[list[tuple[int, int]]] = [[] for _ in names]
+    grp = _DESC_CODE["grp", "", ""] * n
+    for i, name in enumerate(names):
+        for dst, a in graph.out_edges(name):
+            j = index[dst]
+            inc[i].append((_DESC_CODE["out", a.kind, a.tag or ""] * n, j))
+            inc[j].append((_DESC_CODE["in", a.kind, a.tag or ""] * n, i))
+        inc[i].extend((grp, index[p]) for p in graph.equipment_group(name) if p != name)
+
+    # Classes: first position in the color order, and members.
+    start: list[int] = []
+    members: list[set[int]] = []
+    cls = [0] * n
+    seeds: dict[tuple[str, str], list[int]] = {}
+    for i, name in enumerate(names):
+        seeds.setdefault((graph.node_ref(name).category, graph.ctrl(name) or ""), []).append(i)
+    pos = 0
+    for key in sorted(seeds):
+        for i in seeds[key]:
+            cls[i] = len(start)
+        start.append(pos)
+        members.append(set(seeds[key]))
+        pos += len(seeds[key])
+
+    def descriptor(i: int) -> tuple[int, ...]:
+        return tuple(sorted([code + start[cls[j]] for code, j in inc[i]]))
+
+    touched = set(range(n))
+    while touched:
+        by_class: dict[int, list[int]] = {}
+        for i in touched:
+            by_class.setdefault(cls[i], []).append(i)
+        # Key every touched class against this round's colors first ...
+        splits = []
+        for c, keyed in by_class.items():
+            if len(members[c]) == 1:
+                continue
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for i in keyed:
+                parts.setdefault(descriptor(i), []).append(i)
+            rest = None
+            if len(keyed) < len(members[c]):
+                rest = descriptor(next(i for i in members[c] if i not in touched))
+                parts.setdefault(rest, [])
+            if len(parts) > 1:
+                splits.append((c, sorted(parts.items()), rest, len(members[c]) - len(keyed)))
+        # ... then split them, parts in descriptor order.
+        touched = set()
+        for c, parts, rest, untouched in splits:
+            sizes = [len(part) + (untouched if key == rest else 0) for key, part in parts]
+            keep = sizes.index(max(sizes))
+            pos = start[c]
+            for k, (key, part) in enumerate(parts):
+                if k == keep:
+                    start[c] = pos
+                else:
+                    moved = set(part)
+                    if key == rest:
+                        rekeyed = {i for _key, p in parts for i in p}
+                        moved.update(i for i in members[c] if i not in rekeyed)
+                    members[c] -= moved
+                    for i in moved:
+                        cls[i] = len(start)
+                        touched.update(j for _code, j in inc[i])
+                    start.append(pos)
+                    members.append(moved)
+                pos += sizes[k]
+
+    order = {c: color for color, c in enumerate(sorted(range(len(start)), key=start.__getitem__))}
+    return {name: order[cls[i]] for i, name in enumerate(names)}
+
+
+def _reach_counts(graph: FlowsheetGraph, nodes: list[str]) -> dict[str, int]:
+    """How many other units each of ``nodes`` reaches over material edges.
+
+    One pass of Tarjan's strongly connected component algorithm over
+    everything reachable from ``nodes``.  Tarjan finishes a component
+    only after every component it feeds, so each component's reach is
+    one bitset: its own members or-ed with the reach of its successors.
+    """
+    order: dict[str, int] = {}  # DFS number, also the node's bit
+    low: dict[str, int] = {}
+    comp_of: dict[str, int] = {}
+    reach: list[int] = []
+    stack: list[str] = []
+    for root in nodes:
+        if root in order:
             continue
-        for m in members:
-            partners[m] = [x for x in members if x != m]
-
-    def ordinalize(keys: dict[str, object]) -> dict[str, int]:
-        ranks = {k: i for i, k in enumerate(sorted(set(keys.values())))}
-        return {n: ranks[keys[n]] for n in names}
-
-    colors = ordinalize(
-        {n: (graph.node_ref(n).category, graph.ctrl(n) or "") for n in names}
-    )
-    for _ in range(len(names)):
-        keys: dict[str, object] = {}
-        for n in names:
-            descs = sorted(
-                [("out", a.kind, a.tag or "", colors[d]) for d, a in graph.out_edges(n)]
-                + [("in", a.kind, a.tag or "", colors[s]) for s, a in graph.in_edges(n)]
-                + [("grp", "", "", colors[p]) for p in partners[n]]
-            )
-            keys[n] = (colors[n], tuple(descs))
-        refined = ordinalize(keys)
-        if len(set(refined.values())) == len(set(colors.values())):
-            break  # stable partition; refinement never merges classes
-        colors = refined
-    return colors
-
-
-def _successor_count(graph: FlowsheetGraph, start: str) -> int:
-    seen = {start}
-    stack = [start]
-    while stack:
-        n = stack.pop()
-        for dst, attr in graph.out_edges(n):
-            if attr.kind == MATERIAL and dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    return len(seen) - 1
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        work = [(root, iter(graph.out_edges(root, MATERIAL)))]
+        while work:
+            v, edges = work[-1]
+            for w, _attr in edges:
+                if w not in order:
+                    order[w] = low[w] = len(order)
+                    stack.append(w)
+                    work.append((w, iter(graph.out_edges(w, MATERIAL))))
+                    break
+                if w not in comp_of:  # still on the stack
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] != order[v]:
+                    continue
+                scc = len(reach)
+                bits = 0
+                popped = []
+                while True:
+                    w = stack.pop()
+                    comp_of[w] = scc
+                    bits |= 1 << order[w]
+                    popped.append(w)
+                    if w == v:
+                        break
+                for w in popped:
+                    for x, _attr in graph.out_edges(w, MATERIAL):
+                        if comp_of[x] != scc:
+                            bits |= reach[comp_of[x]]
+                reach.append(bits)
+    return {n: reach[comp_of[n]].bit_count() - 1 for n in nodes}
 
 
 def _step3_key(graph: FlowsheetGraph, name: str):
@@ -173,14 +310,14 @@ def _step3_key(graph: FlowsheetGraph, name: str):
     return (ref.category, graph.ctrl(name) or "", descs)
 
 
-def _tie_key(graph: FlowsheetGraph, name: str, colors: dict[str, int]):
+def _tie_key(graph: FlowsheetGraph, name: str, colors: dict[str, int], reach: dict[str, int]):
     ref = graph.node_ref(name)
     prio = _CATEGORY_PRIO.get(ref.category, 3)
     if ref.category == "raw":
         # Feeds with longer downstream paths come first.
-        deg_key = -_successor_count(graph, name)
+        deg_key = -reach[name]
     elif prio == 3:
-        deg_key = _successor_count(graph, name)
+        deg_key = reach[name]
     else:
         deg_key = 0
     return (
@@ -200,18 +337,14 @@ def break_ties(
     """Flatten Morgan classes into a total order, lowest rank first."""
     if colors is None:
         colors = _refine_colors(graph)
+    reach = _reach_counts(graph, [n for cls in classes for n in cls])
     order: list[str] = []
     for cls in classes:
-        order.extend(sorted(cls, key=lambda n: _tie_key(graph, n, colors)))
+        order.extend(sorted(cls, key=lambda n: _tie_key(graph, n, colors, reach)))
     return order
 
 
 def _components(graph: FlowsheetGraph) -> list[list[str]]:
-    adj: dict[str, set[str]] = {n: set() for n in graph.nodes()}
-    for src, dst, attr in graph.edges():
-        if attr.kind == MATERIAL:
-            adj[src].add(dst)
-            adj[dst].add(src)
     seen: set[str] = set()
     comps: list[list[str]] = []
     for n in graph.nodes():
@@ -223,7 +356,7 @@ def _components(graph: FlowsheetGraph) -> list[list[str]]:
         while stack:
             x = stack.pop()
             comp.append(x)
-            for m in adj[x]:
+            for m, _attr in graph.out_edges(x, MATERIAL) + graph.in_edges(x, MATERIAL):
                 if m not in seen:
                     seen.add(m)
                     stack.append(m)
@@ -231,46 +364,14 @@ def _components(graph: FlowsheetGraph) -> list[list[str]]:
     return comps
 
 
-def rank_graph(graph: FlowsheetGraph) -> RankTable:
-    """Rank every node 1..n within its component and order the components.
+def rank_components(graph: FlowsheetGraph) -> list[list[str]]:
+    """Every material component's nodes in rank order, lowest rank first.
 
-    Components are emitted largest first.  Equal sizes are ordered by
-    their provisional generalized string, then the numbered string, and
-    as a last resort by their signal connections.
+    Components come in the order of their first node in ``graph``; the
+    canonical component order is ``encode.rank_graph``'s job.
     """
     colors = _refine_colors(graph)
-    ordered: list[list[str]] = []
-    for comp in _components(graph):
-        state = morgan_iterate(graph, comp)
-        ordered.append(break_ties(graph, state.classes(), colors))
-
-    by_size: dict[int, list[list[str]]] = {}
-    for order in ordered:
-        by_size.setdefault(len(order), []).append(order)
-
-    final: list[list[str]] = []
-    for size in sorted(by_size, reverse=True):
-        group = by_size[size]
-        if len(group) > 1:
-            from .encode import component_string
-
-            def comp_key(order: list[str]):
-                signals = sorted(
-                    (src, dst)
-                    for src, dst, attr in graph.edges()
-                    if attr.kind != MATERIAL and (src in set(order) or dst in set(order))
-                )
-                return (
-                    component_string(graph, order, "generalized"),
-                    component_string(graph, order, "numbered"),
-                    signals,
-                )
-
-            group.sort(key=comp_key)
-        final.extend(group)
-
-    rank: dict[str, int] = {}
-    for order in final:
-        for i, name in enumerate(order, 1):
-            rank[name] = i
-    return RankTable(rank, final)
+    return [
+        break_ties(graph, morgan_iterate(graph, comp).classes(), colors)
+        for comp in _components(graph)
+    ]

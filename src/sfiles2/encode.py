@@ -7,13 +7,17 @@ into already written material becomes that tree's converging insertion
 point.  ``emit`` then walks the finished plan and renders tokens,
 assigning recycle, signal and equipment-group identifiers by first
 textual appearance.
+
+``rank_graph`` finishes the ranking that ``canon`` computes per
+component: equally sized components are ordered by their own strings,
+so that step lives here, beside ``component_string``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .canon import RankTable, rank_graph
+from .canon import RankTable, rank_components
 from .errors import EncodeError
 from .model import MATERIAL, SIGNAL, FlowsheetGraph
 
@@ -133,10 +137,8 @@ def traverse(graph: FlowsheetGraph, ranks: RankTable) -> EmissionPlan:
     tree_of: dict[str, int] = {}
 
     for comp_idx, comp in enumerate(ranks.subgraph_order):
-        roots = sorted(
-            (n for n in comp if graph.material_in_degree(n) == 0),
-            key=lambda n: ranks.rank[n],
-        )
+        ranked = sorted(comp, key=ranks.rank.__getitem__)
+        roots = [n for n in ranked if graph.material_in_degree(n) == 0]
         qi = 0
         while True:
             root = None
@@ -147,9 +149,7 @@ def traverse(graph: FlowsheetGraph, ranks: RankTable) -> EmissionPlan:
                     root = cand
                     break
             if root is None:
-                unvisited = sorted(
-                    (n for n in comp if n not in visited), key=lambda n: ranks.rank[n]
-                )
+                unvisited = [n for n in ranked if n not in visited]
                 if not unvisited:
                     break
                 root = _cycle_root(graph, unvisited, ranks.rank)
@@ -179,21 +179,18 @@ def traverse(graph: FlowsheetGraph, ranks: RankTable) -> EmissionPlan:
 
     sig_out: dict[str, list[tuple[str, str]]] = {}
     sig_in: dict[str, list[tuple[str, str]]] = {}
-    for src, dst, attr in graph.edges():
-        if attr.kind != SIGNAL or src not in pos or dst not in pos:
-            continue
-        sig_out.setdefault(src, []).append((src, dst))
-        sig_in.setdefault(dst, []).append((src, dst))
+    group_of: dict[str, tuple[str, int]] = {}
+    for src in pos:
+        for dst, _attr in graph.out_edges(src, SIGNAL):
+            if dst in pos:
+                sig_out.setdefault(src, []).append((src, dst))
+                sig_in.setdefault(dst, []).append((src, dst))
+        if len(graph.equipment_group(src)) >= 2:
+            group_of[src] = graph.node_ref(src).equipment
     for name, items in sig_out.items():
         items.sort(key=lambda e: pos[e[1]])
     for name, items in sig_in.items():
         items.sort(key=lambda e: pos[e[0]])
-
-    group_of: dict[str, tuple[str, int]] = {}
-    for key, members in graph.equipment_groups().items():
-        if len(members) >= 2:
-            for m in members:
-                group_of[m] = key
 
     return EmissionPlan(
         dfs_forest=trees,
@@ -253,43 +250,52 @@ def _legacy_parts(graph, plan, tree):
 
 
 def _walk_node(graph, plan, tree, node, parts, legacy):
-    parts.append(_NodeTok(node))
-    ctrl = graph.ctrl(node)
-    if ctrl:
-        parts.append("{%s}" % ctrl)
-    if node in plan.group_of:
-        parts.append(_Mark("group", plan.group_of[node]))
-    for ri in plan.rec_in.get(node, ()):
-        parts.append(_Mark("rec_in", ri))
-    for ri in plan.rec_out.get(node, ()):
-        parts.append(_Mark("rec_out", ri))
-    for e in plan.sig_out.get(node, ()):
-        parts.append(_Mark("sig_out", e))
-    for e in plan.sig_in.get(node, ()):
-        parts.append(_Mark("sig_in", e))
-    if tree.anchor is not None and tree.anchor[0] == node:
-        tag = tree.anchor[2]
-        if tag:
-            parts.append("{%s}" % tag)
-        parts.append("&")
-    for ins in plan.insertions.get(node, ()):
-        sub = plan.dfs_forest[ins]
-        if legacy:
-            parts.extend(_legacy_parts(graph, plan, sub))
-        else:
-            parts.append("<&|")
-            _walk_node(graph, plan, sub, sub.root, parts, legacy)
-            parts.append("|")
-    kids = tree.children.get(node, [])
-    for i, (child, tag) in enumerate(kids):
-        last = i == len(kids) - 1
-        if not last:
-            parts.append("[")
-        if tag:
-            parts.append("{%s}" % tag)
-        _walk_node(graph, plan, tree, child, parts, legacy)
-        if not last:
-            parts.append("]")
+    # Depth first over an explicit stack, so chains of any length fit:
+    # an entry is a (tree, node) pair still to write or a finished part.
+    stack: list[object] = [(tree, node)]
+    while stack:
+        item = stack.pop()
+        if type(item) is not tuple:
+            parts.append(item)
+            continue
+        tree, node = item
+        parts.append(_NodeTok(node))
+        ctrl = graph.ctrl(node)
+        if ctrl:
+            parts.append("{%s}" % ctrl)
+        if node in plan.group_of:
+            parts.append(_Mark("group", plan.group_of[node]))
+        for ri in plan.rec_in.get(node, ()):
+            parts.append(_Mark("rec_in", ri))
+        for ri in plan.rec_out.get(node, ()):
+            parts.append(_Mark("rec_out", ri))
+        for e in plan.sig_out.get(node, ()):
+            parts.append(_Mark("sig_out", e))
+        for e in plan.sig_in.get(node, ()):
+            parts.append(_Mark("sig_in", e))
+        if tree.anchor is not None and tree.anchor[0] == node:
+            tag = tree.anchor[2]
+            if tag:
+                parts.append("{%s}" % tag)
+            parts.append("&")
+        todo: list[object] = []
+        for ins in plan.insertions.get(node, ()):
+            sub = plan.dfs_forest[ins]
+            if legacy:
+                todo.extend(_legacy_parts(graph, plan, sub))
+            else:
+                todo += ["<&|", (sub, sub.root), "|"]
+        kids = tree.children.get(node, [])
+        for i, (child, tag) in enumerate(kids):
+            last = i == len(kids) - 1
+            if not last:
+                todo.append("[")
+            if tag:
+                todo.append("{%s}" % tag)
+            todo.append((tree, child))
+            if not last:
+                todo.append("]")
+        stack.extend(reversed(todo))
 
 
 def _digits(i: int) -> str:
@@ -371,6 +377,44 @@ def encode(
     ranks = rank_graph(graph)
     plan = traverse(graph, ranks)
     return SfilesString(emit(graph, plan, mode, legacy_converging), mode)
+
+
+def _encode_both(graph: FlowsheetGraph) -> tuple[SfilesString, SfilesString]:
+    """The generalized and the numbered string, from one ranking and one plan."""
+    plan = traverse(graph, rank_graph(graph))
+    return tuple(SfilesString(emit(graph, plan, mode), mode) for mode in MODES)
+
+
+def rank_graph(graph: FlowsheetGraph) -> RankTable:
+    """Rank every node 1..n within its component and order the components.
+
+    Components are emitted largest first.  Equal sizes are ordered by
+    their provisional generalized string, then the numbered string, and
+    as a last resort by their signal connections.
+    """
+    by_size: dict[int, list[list[str]]] = {}
+    for order in rank_components(graph):
+        by_size.setdefault(len(order), []).append(order)
+
+    final: list[list[str]] = []
+    for size in sorted(by_size, reverse=True):
+        group = by_size[size]
+        if len(group) > 1:
+            group.sort(key=lambda order: _component_key(graph, order))
+        final.extend(group)
+
+    rank = {name: i for order in final for i, name in enumerate(order, 1)}
+    return RankTable(rank, final)
+
+
+def _component_key(graph: FlowsheetGraph, order: list[str]):
+    signals = {(n, dst) for n in order for dst, _attr in graph.out_edges(n, SIGNAL)}
+    signals.update((src, n) for n in order for src, _attr in graph.in_edges(n, SIGNAL))
+    return (
+        component_string(graph, order, GENERALIZED),
+        component_string(graph, order, NUMBERED),
+        sorted(signals),
+    )
 
 
 def component_string(graph: FlowsheetGraph, order: list[str], mode: str = GENERALIZED) -> str:

@@ -26,7 +26,7 @@ COLUMN_TAGS = ("bin", "tin", "bout", "tout")
 _NAME_RE = re.compile(r"^([A-Za-z]+)-(\d+)(?:/(\d+))?$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRef:
     """Identity of one unit operation node.
 
@@ -68,7 +68,7 @@ class NodeRef:
         return cls(m.group(1), int(m.group(2)), int(sub) if sub is not None else None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeAttr:
     kind: str = MATERIAL
     tag: str | None = None
@@ -83,83 +83,116 @@ class EdgeAttr:
                 raise ValueError(f"bad stream tag: {self.tag!r}")
 
 
+# Every edge shares the one immutable record of its (kind, tag) pair.
+_EDGE_ATTRS = {
+    (kind, tag): EdgeAttr(kind, tag)
+    for kind in EDGE_KINDS
+    for tag in (None, *COLUMN_TAGS)
+    if kind == MATERIAL or tag is None
+}
+
+
+class _Node:
+    """One node: its identity, control code and incident edges in insertion order."""
+
+    __slots__ = ("ref", "ctrl", "out", "inc")
+
+    def __init__(self, ref: NodeRef, ctrl: str | None):
+        self.ref = ref
+        self.ctrl = ctrl
+        self.out: list[tuple[str, EdgeAttr]] = []
+        self.inc: list[tuple[str, EdgeAttr]] = []
+
+
 class FlowsheetGraph:
-    """Mutable directed flowsheet graph keyed by node name."""
+    """Mutable directed flowsheet graph keyed by node name.
+
+    Each node keeps its own out- and in-lists, so neighbour and degree
+    queries cost O(degree) and ``edges()`` lists edges grouped by source.
+    """
 
     def __init__(self):
-        self._refs: dict[str, NodeRef] = {}
-        self._ctrl: dict[str, str | None] = {}
-        self._edges: list[tuple[str, str, EdgeAttr]] = []
-        self._edge_keys: set[tuple[str, str, str]] = set()
+        self._nodes: dict[str, _Node] = {}
+        # Exchanger number -> its node names, sub-units in order.  Only
+        # exchangers can share equipment: every other name is unique.
+        self._hex: dict[int, list[str]] = {}
 
     # -- nodes
 
     def add_node(self, node: NodeRef | str, ctrl: str | None = None) -> NodeRef:
         ref = node if isinstance(node, NodeRef) else NodeRef.parse(node)
-        if ref.name in self._refs:
-            raise GraphInvariantError(f"duplicate node: {ref.name}")
+        name = ref.name
+        if name in self._nodes:
+            raise GraphInvariantError(f"duplicate node: {name}")
         if (ref.category == "C") != (ctrl is not None):
             raise GraphInvariantError(
                 "control code is required on C nodes and forbidden elsewhere"
             )
+        members = None
         if ref.category == "hex":
-            for other in self._refs.values():
-                if other.equipment == ref.equipment and (other.sub is None) != (ref.sub is None):
-                    raise GraphInvariantError(
-                        f"cannot mix plain and sub-unit forms of {ref.category}-{ref.number}"
-                    )
-        self._refs[ref.name] = ref
-        self._ctrl[ref.name] = ctrl
+            members = self._hex.setdefault(ref.number, [])
+            if members and (self._nodes[members[0]].ref.sub is None) != (ref.sub is None):
+                raise GraphInvariantError(
+                    f"cannot mix plain and sub-unit forms of {ref.category}-{ref.number}"
+                )
+        self._nodes[name] = _Node(ref, ctrl)
+        if members is not None:
+            members.append(name)
+            members.sort(key=lambda n: self._nodes[n].ref.sub or 0)
         return ref
 
     def has_node(self, name: str) -> bool:
-        return name in self._refs
+        return name in self._nodes
 
     def node_ref(self, name: str) -> NodeRef:
-        return self._refs[name]
+        return self._nodes[name].ref
 
     def ctrl(self, name: str) -> str | None:
-        return self._ctrl[name]
+        return self._nodes[name].ctrl
 
     def nodes(self) -> list[str]:
-        return list(self._refs)
+        return list(self._nodes)
 
     # -- edges
 
     def add_edge(self, src: str, dst: str, kind: str = MATERIAL, tag: str | None = None) -> None:
-        attr = EdgeAttr(kind, tag)
+        # A pair missing from the table is invalid, and EdgeAttr says why.
+        attr = _EDGE_ATTRS.get((kind, tag)) or EdgeAttr(kind, tag)
         for name in (src, dst):
-            if name not in self._refs:
+            if name not in self._nodes:
                 raise GraphInvariantError(f"unknown node: {name}")
         if src == dst:
             raise GraphInvariantError(f"self loop on {src}")
-        key = (src, dst, kind)
-        if key in self._edge_keys:
+        source, target = self._nodes[src], self._nodes[dst]
+        if any(d == dst and a.kind == kind for d, a in source.out):
             raise GraphInvariantError(f"duplicate {kind} edge {src} -> {dst}")
         if kind == MATERIAL:
-            if self._refs[dst].category == "raw":
+            if target.ref.category == "raw":
                 raise GraphInvariantError(f"material edge into raw node {dst}")
-            if self._refs[src].category == "prod":
+            if source.ref.category == "prod":
                 raise GraphInvariantError(f"material edge out of prod node {src}")
-        self._edges.append((src, dst, attr))
-        self._edge_keys.add(key)
+        source.out.append((dst, attr))
+        target.inc.append((src, attr))
 
     def edges(self) -> list[tuple[str, str, EdgeAttr]]:
-        return list(self._edges)
+        """Every edge as (src, dst, attr), grouped by source node."""
+        return [(src, dst, attr) for src, node in self._nodes.items() for dst, attr in node.out]
 
     def out_edges(self, name: str, kind: str | None = None) -> list[tuple[str, EdgeAttr]]:
-        return [
-            (dst, attr)
-            for src, dst, attr in self._edges
-            if src == name and (kind is None or attr.kind == kind)
-        ]
+        node = self._nodes.get(name)
+        if node is None:
+            return []
+        if kind is None:
+            return list(node.out)
+        return [(dst, attr) for dst, attr in node.out if attr.kind == kind]
 
     def in_edges(self, name: str, kind: str | None = None) -> list[tuple[str, EdgeAttr]]:
-        return [
-            (src, attr)
-            for src, dst, attr in self._edges
-            if dst == name and (kind is None or attr.kind == kind)
-        ]
+        node = self._nodes.get(name)
+        if node is None:
+            return []
+        if kind is None:
+            return list(node.inc)
+        return [(src, attr) for src, attr in node.inc if attr.kind == kind]
 
     def material_in_degree(self, name: str) -> int:
         return len(self.in_edges(name, MATERIAL))
@@ -167,34 +200,43 @@ class FlowsheetGraph:
     def material_out_degree(self, name: str) -> int:
         return len(self.out_edges(name, MATERIAL))
 
+    def equipment_group(self, name: str) -> list[str]:
+        """``name`` and every node sharing its equipment, sub-units in order."""
+        ref = self._nodes[name].ref
+        if ref.category != "hex":
+            return [name]
+        return list(self._hex[ref.number])
+
     def equipment_groups(self) -> dict[tuple[str, int], list[str]]:
         """All nodes grouped by shared equipment, sub-units in order."""
         groups: dict[tuple[str, int], list[str]] = {}
-        for name, ref in self._refs.items():
-            groups.setdefault(ref.equipment, []).append(name)
-        for members in groups.values():
-            members.sort(key=lambda n: self._refs[n].sub or 0)
+        for name, node in self._nodes.items():
+            key = node.ref.equipment
+            if key not in groups:
+                groups[key] = self.equipment_group(name)
         return groups
 
     # -- comparison and copying
+
+    def _edge_set(self) -> set[tuple[str, str, str, str | None]]:
+        return {(s, d, a.kind, a.tag) for s, d, a in self.edges()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FlowsheetGraph):
             return NotImplemented
         return (
-            self._ctrl == other._ctrl
-            and set(self._refs) == set(other._refs)
-            and {(s, d, a.kind, a.tag) for s, d, a in self._edges}
-            == {(s, d, a.kind, a.tag) for s, d, a in other._edges}
+            {n: node.ctrl for n, node in self._nodes.items()}
+            == {n: node.ctrl for n, node in other._nodes.items()}
+            and self._edge_set() == other._edge_set()
         )
 
     __hash__ = None  # mutable container
 
     def copy(self) -> FlowsheetGraph:
         g = FlowsheetGraph()
-        for name, ref in self._refs.items():
-            g.add_node(ref, ctrl=self._ctrl[name])
-        for src, dst, attr in self._edges:
+        for node in self._nodes.values():
+            g.add_node(node.ref, ctrl=node.ctrl)
+        for src, dst, attr in self.edges():
             g.add_edge(src, dst, kind=attr.kind, tag=attr.tag)
         return g
 

@@ -783,10 +783,10 @@ def _shape(graph: FlowsheetGraph):
 
 def roundtrip_check(graph: FlowsheetGraph) -> RoundtripReport:
     """Encode, reparse and re-encode; report anything that does not survive."""
-    from .encode import GENERALIZED, NUMBERED, encode
+    from .encode import GENERALIZED, NUMBERED, _encode_both, encode
 
     problems: list[str] = []
-    canonical = encode(graph, GENERALIZED)
+    canonical, numbered = _encode_both(graph)
     reparsed, diags = parse(canonical)
     if reparsed is None:
         for d in diags.errors():
@@ -798,7 +798,6 @@ def roundtrip_check(graph: FlowsheetGraph) -> RoundtripReport:
     if _shape(reparsed) != _shape(graph):
         problems.append("node or edge populations changed across the round trip")
 
-    numbered = encode(graph, NUMBERED)
     renum, diags = parse(numbered)
     if renum is None:
         problems.append("numbered form did not reparse")

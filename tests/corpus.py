@@ -377,3 +377,32 @@ MALFORMED: list[tuple[str, str, str]] = [
     ("missing-connector", "(raw)<&|(v)|(prod)", "missing-connector"),
     ("branch-without-node", "[(raw)]", "branch-without-node"),
 ]
+
+
+# Scaled families: long chains, identical trains and symmetric exchanger
+# loops, which stress refinement depth, ties and emission depth.
+
+
+def chain(units: int, category: str = "pp") -> FlowsheetGraph:
+    names = ["raw-1"] + [f"{category}-{i}" for i in range(1, units + 1)] + ["prod-1"]
+    return build(names, list(zip(names, names[1:])))
+
+
+def trains(count: int, units: int) -> FlowsheetGraph:
+    nodes, edges = [], []
+    for t in range(count):
+        names = [f"raw-{t + 1}"] + [f"v-{t * units + i}" for i in range(1, units + 1)]
+        names.append(f"prod-{t + 1}")
+        nodes += names
+        edges += list(zip(names, names[1:]))
+    return build(nodes, edges)
+
+
+def exchanger_loop(exchangers: int) -> FlowsheetGraph:
+    """The loop 1<->2, 2->3, 3<->4, ..., n->1 of an even number, at least 4, of exchangers."""
+    names = [f"hex-{i}" for i in range(1, exchangers + 1)]
+    edges = []
+    for i in range(0, exchangers, 2):
+        a, b, c = names[i], names[i + 1], names[(i + 2) % exchangers]
+        edges += [(a, b), (b, a), (b, c)]
+    return build(names, edges)

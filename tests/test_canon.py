@@ -1,9 +1,14 @@
 """Ranking: Morgan refinement, tie-breaking, component ordering."""
 
+import random
+
 import pytest
 
+import canon_oracle
 import corpus
+import genflow
 from sfiles2 import FlowsheetGraph, encode, morgan_iterate, rank_graph
+from sfiles2.canon import _reach_counts, _refine_colors
 
 
 class TestMorgan:
@@ -175,3 +180,32 @@ class TestComponents:
         )
         table = rank_graph(g)
         assert sorted(table.rank.values()) == [1, 2, 3]
+
+
+def _plants(count: int) -> list[FlowsheetGraph]:
+    plants = [genflow.random_flowsheet(random.Random(seed)) for seed in range(count)]
+    return plants + [genflow.renumber_randomly(g, random.Random(7)) for g in plants]
+
+
+ORACLE_FAMILIES = {
+    "corpus": lambda: [f.make() for f in corpus.FIXTURES],
+    "genflow": lambda: _plants(150),
+    "chains": lambda: [corpus.chain(n) for n in (0, 1, 2, 5, 50, 201)],
+    "trains": lambda: [corpus.trains(k, u) for k in (2, 5, 40) for u in (1, 3)],
+    "exchanger_loops": lambda: [corpus.exchanger_loop(n) for n in (4, 8, 16, 64)],
+}
+
+
+class TestAgainstReference:
+    """The fast ranking stages return exactly what the first versions did."""
+
+    @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+    def test_refinement_colors(self, family):
+        for g in ORACLE_FAMILIES[family]():
+            assert _refine_colors(g) == canon_oracle._refine_colors(g)
+
+    @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+    def test_reach_counts(self, family):
+        for g in ORACLE_FAMILIES[family]():
+            want = {n: canon_oracle._successor_count(g, n) for n in g.nodes()}
+            assert _reach_counts(g, g.nodes()) == want

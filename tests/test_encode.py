@@ -156,3 +156,10 @@ def test_train_separator_between_components():
     left, right = s.split("n|")
     assert left.startswith("(raw)")
     assert right.startswith("(hex)")
+
+
+def test_long_chain_encodes_without_recursion_limit():
+    g = corpus.chain(2000)
+    s = encode(g)
+    assert s == "(raw)" + "(pp)" * 2000 + "(prod)"
+    assert parse_sfiles(s) == g

@@ -1,12 +1,16 @@
 """Graph model: node naming, edge rules, JSON codec."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 import corpus
+import genflow
 from sfiles2 import (
+    MATERIAL,
+    SIGNAL,
     EdgeAttr,
     FlowsheetGraph,
     GraphInvariantError,
@@ -169,6 +173,100 @@ class TestGraphConstruction:
             ],
         )
         assert g != h2
+
+
+def _index_graphs() -> list[FlowsheetGraph]:
+    plants = [genflow.random_flowsheet(random.Random(seed)) for seed in range(100)]
+    return (
+        [f.make() for f in corpus.FIXTURES]
+        + plants
+        + [genflow.renumber_randomly(g, random.Random(3)) for g in plants]
+    )
+
+
+def _edge_keys(pairs) -> list[tuple[str, str, str]]:
+    return sorted((name, attr.kind, attr.tag or "") for name, attr in pairs)
+
+
+class TestAdjacencyIndex:
+    def test_queries_match_the_edge_list(self):
+        for g in _index_graphs():
+            edges = g.edges()
+            for n in g.nodes():
+                for kind in (None, MATERIAL, SIGNAL):
+                    out = [(d, a) for s, d, a in edges if s == n and kind in (None, a.kind)]
+                    inc = [(s, a) for s, d, a in edges if d == n and kind in (None, a.kind)]
+                    assert _edge_keys(g.out_edges(n, kind)) == _edge_keys(out)
+                    assert _edge_keys(g.in_edges(n, kind)) == _edge_keys(inc)
+                assert g.material_out_degree(n) == len(g.out_edges(n, MATERIAL))
+                assert g.material_in_degree(n) == len(g.in_edges(n, MATERIAL))
+
+    def test_equipment_groups_match_the_node_list(self):
+        for g in _index_graphs():
+            want: dict[tuple[str, int], list[str]] = {}
+            for n in g.nodes():
+                want.setdefault(g.node_ref(n).equipment, []).append(n)
+            for members in want.values():
+                members.sort(key=lambda n: g.node_ref(n).sub or 0)
+            assert g.equipment_groups() == want
+            for members in want.values():
+                for n in members:
+                    assert g.equipment_group(n) == members
+
+    def test_edges_are_grouped_by_source(self):
+        g = corpus.build(
+            ["raw-1", "v-1", "v-2", "prod-1"],
+            [("v-1", "v-2"), ("raw-1", "v-1"), ("v-2", "prod-1"), ("raw-1", "v-2")],
+        )
+        assert [(s, d) for s, d, _ in g.edges()] == [
+            ("raw-1", "v-1"), ("raw-1", "v-2"), ("v-1", "v-2"), ("v-2", "prod-1"),
+        ]
+
+    def test_unknown_node_has_no_edges(self):
+        g = corpus.fixture("absorber").make()
+        assert g.out_edges("v-99") == [] and g.in_edges("v-99", MATERIAL) == []
+        assert g.material_in_degree("v-99") == 0
+
+    def test_edges_share_one_attribute_record_per_kind_and_tag(self):
+        g = corpus.fixture("absorber").make()
+        (_, a), = g.in_edges("prod-1")
+        (_, b), = corpus.fixture("absorber").make().in_edges("prod-1")
+        assert a is b
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda g: g.add_edge("splt-1", "v-1"),
+            lambda g: g.add_edge("C-1", "v-1", kind="signal"),
+            lambda g: g.add_edge("v-1", "raw-1"),
+            lambda g: g.add_edge("prod-1", "v-1"),
+            lambda g: g.add_edge("v-1", "v-1"),
+            lambda g: g.add_edge("v-1", "v-9"),
+            lambda g: g.add_edge("v-1", "v-2", kind="pipe"),
+            lambda g: g.add_node("hex-1"),
+            lambda g: g.add_node("hex-2/3"),
+            lambda g: g.add_node("hex-1/2"),
+        ],
+        ids=[
+            "duplicate-material", "duplicate-signal", "into-raw", "out-of-prod",
+            "self-loop", "unknown-node", "bad-kind", "plain-after-sub", "sub-after-plain",
+            "duplicate-sub-unit",
+        ],
+    )
+    def test_rejected_mutation_leaves_the_graph_unchanged(self, mutate):
+        g = corpus.build(
+            ["raw-1", "splt-1", "v-1", "v-2", "hex-1/2", "hex-1/1", "hex-2", "prod-1",
+             ("C-1", "FC")],
+            [
+                ("raw-1", "splt-1"), ("splt-1", "v-2"), ("splt-1", "v-1"), ("v-1", "hex-1/1"),
+                ("hex-1/1", "prod-1"), ("v-2", "hex-1/2"), ("hex-1/2", "hex-2"),
+                ("hex-2", "prod-1"), ("C-1", "v-1", {"kind": "signal"}),
+            ],
+        )
+        before = (save_json(g), g.equipment_groups(), {n: g.in_edges(n) for n in g.nodes()})
+        with pytest.raises((GraphInvariantError, ValueError)):
+            mutate(g)
+        assert (save_json(g), g.equipment_groups(), {n: g.in_edges(n) for n in g.nodes()}) == before
 
 
 class TestJsonCodec:
