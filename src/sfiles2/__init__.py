@@ -1,16 +1,7 @@
 """Bidirectional codec between flowsheet graphs and SFILES 2.0 strings."""
 
-from .canon import MorganState, RankTable, TAG_RANK, break_ties, morgan_iterate
-from .encode import (
-    GENERALIZED,
-    NUMBERED,
-    EmissionPlan,
-    SfilesString,
-    emit,
-    encode,
-    rank_graph,
-    traverse,
-)
+from .canon import MorganState, RankTable, morgan_iterate
+from .encode import GENERALIZED, NUMBERED, SfilesString, encode, rank_graph
 from .errors import (
     EncodeError,
     GraphInvariantError,
@@ -47,7 +38,6 @@ __all__ = [
     "Diagnostic",
     "DegreeSpec",
     "EdgeAttr",
-    "EmissionPlan",
     "EncodeError",
     "FlowsheetGraph",
     "GENERALIZED",
@@ -66,12 +56,9 @@ __all__ = [
     "SchemaError",
     "SfilesError",
     "SfilesString",
-    "TAG_RANK",
     "Token",
     "UnitOp",
-    "break_ties",
     "check_graph",
-    "emit",
     "encode",
     "load_json",
     "morgan_iterate",
@@ -81,6 +68,5 @@ __all__ = [
     "roundtrip_check",
     "save_json",
     "tokenize",
-    "traverse",
     "__version__",
 ]

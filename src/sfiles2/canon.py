@@ -5,7 +5,8 @@ refinement over the undirected material graph, then rule based
 tie-breaking inside the surviving equivalence classes.  The resulting
 rank order is what makes string emission deterministic.  Components of
 equal size are ordered by their strings, next to the string code in
-``encode``.
+``encode``.  Every stage but Morgan reads one integer snapshot of the
+graph, taken once per ranking.
 """
 
 from __future__ import annotations
@@ -14,12 +15,16 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import add
 
-from .model import COLUMN_TAGS, EDGE_KINDS, MATERIAL, FlowsheetGraph
+from .model import COLUMN_TAGS, EDGE_KINDS, MATERIAL, SIGNAL, FlowsheetGraph
 
 # Collation order for column tags in tie-break descriptors: inlets
 # before draws, bottoms feed first, top draw before bottoms draw.
 # Untagged edges sort before tagged ones.
 TAG_RANK = {None: -1, "bin": 0, "tin": 1, "tout": 2, "bout": 3}
+# An edge's (tag rank, kind rank) in those descriptors: signals carry no
+# tag and sort after material edges.
+_EDGE_RANK = {(MATERIAL, tag): (rank, 0) for tag, rank in TAG_RANK.items()}
+_EDGE_RANK[SIGNAL, None] = (-1, 1)
 
 _CATEGORY_PRIO = {"C": 0, "prod": 1, "raw": 2}
 
@@ -126,7 +131,56 @@ def morgan_iterate(
     return MorganState(dict(zip(names, map(peak.__getitem__, where))), best, peak_iteration)
 
 
-def _refine_colors(graph: FlowsheetGraph) -> dict[str, int]:
+class _Index:
+    """One integer snapshot of a graph, read by every stage of one ranking.
+
+    Node ``i`` is the ``i``-th name of ``graph.nodes()``.  ``out`` and
+    ``inc`` hold ``(j, EdgeAttr)`` pairs for every edge, material and
+    signal alike.  ``reach`` and ``colors`` are filled in by
+    ``break_ties`` when it first needs them.  The graph is mutable, so a
+    snapshot lives for one ranking only.
+    """
+
+    __slots__ = ("names", "pos", "refs", "ctrl", "out", "inc", "reach", "colors")
+
+    def __init__(self, graph: FlowsheetGraph):
+        self.names = names = graph.nodes()
+        self.pos = pos = {name: i for i, name in enumerate(names)}
+        self.refs = [graph.node_ref(name) for name in names]
+        self.ctrl = [graph.ctrl(name) or "" for name in names]
+        self.out = out = [[] for _ in names]
+        self.inc = inc = [[] for _ in names]
+        for src, dst, attr in graph.edges():
+            i, j = pos[src], pos[dst]
+            out[i].append((j, attr))
+            inc[j].append((i, attr))
+        self.reach: list[int] | None = None
+        self.colors: list[int] | None = None
+
+    def components(self) -> list[list[str]]:
+        """Material components as sorted name lists, in order of their first node."""
+        names, out, inc = self.names, self.out, self.inc
+        seen = [False] * len(names)
+        comps = []
+        for root in range(len(names)):
+            if seen[root]:
+                continue
+            seen[root] = True
+            comp = []
+            stack = [root]
+            while stack:
+                i = stack.pop()
+                comp.append(names[i])
+                for edges in (out[i], inc[i]):
+                    for j, attr in edges:
+                        if not seen[j] and attr.kind == MATERIAL:
+                            seen[j] = True
+                            stack.append(j)
+            comps.append(sorted(comp))
+        return comps
+
+
+def _refine(ix: _Index) -> list[int]:
     """Structure-only node colors, stable under equipment renumbering.
 
     Seeds every node with (category, ctrl) and repeatedly refines by the
@@ -153,26 +207,26 @@ def _refine_colors(graph: FlowsheetGraph) -> dict[str, int]:
     changes class only when its class at least halves, and the whole
     refinement costs O((n + m) log n) descriptor entries.
     """
-    names = graph.nodes()
-    n = len(names)
-    index = {name: i for i, name in enumerate(names)}
+    n = len(ix.names)
+    equipment: dict[tuple[str, int], list[int]] = {}
+    for i, ref in enumerate(ix.refs):
+        equipment.setdefault(ref.equipment, []).append(i)
     # Per node: (code * n, j) for every incident edge and partner j.
-    inc: list[list[tuple[int, int]]] = [[] for _ in names]
     grp = _DESC_CODE["grp", "", ""] * n
-    for i, name in enumerate(names):
-        for dst, a in graph.out_edges(name):
-            j = index[dst]
-            inc[i].append((_DESC_CODE["out", a.kind, a.tag or ""] * n, j))
-            inc[j].append((_DESC_CODE["in", a.kind, a.tag or ""] * n, i))
-        inc[i].extend((grp, index[p]) for p in graph.equipment_group(name) if p != name)
+    inc = [
+        [(_DESC_CODE["out", a.kind, a.tag or ""] * n, j) for j, a in ix.out[i]]
+        + [(_DESC_CODE["in", a.kind, a.tag or ""] * n, j) for j, a in ix.inc[i]]
+        + [(grp, j) for j in equipment[ref.equipment] if j != i]
+        for i, ref in enumerate(ix.refs)
+    ]
 
     # Classes: first position in the color order, and members.
     start: list[int] = []
     members: list[set[int]] = []
     cls = [0] * n
     seeds: dict[tuple[str, str], list[int]] = {}
-    for i, name in enumerate(names):
-        seeds.setdefault((graph.node_ref(name).category, graph.ctrl(name) or ""), []).append(i)
+    for i, ref in enumerate(ix.refs):
+        seeds.setdefault((ref.category, ix.ctrl[i]), []).append(i)
     pos = 0
     for key in sorted(seeds):
         for i in seeds[key]:
@@ -226,35 +280,36 @@ def _refine_colors(graph: FlowsheetGraph) -> dict[str, int]:
                 pos += sizes[k]
 
     order = {c: color for color, c in enumerate(sorted(range(len(start)), key=start.__getitem__))}
-    return {name: order[cls[i]] for i, name in enumerate(names)}
+    return [order[c] for c in cls]
 
 
-def _reach_counts(graph: FlowsheetGraph, nodes: list[str]) -> dict[str, int]:
-    """How many other units each of ``nodes`` reaches over material edges.
+def _reach_counts(ix: _Index) -> list[int]:
+    """How many other units each node reaches over material edges.
 
-    One pass of Tarjan's strongly connected component algorithm over
-    everything reachable from ``nodes``.  Tarjan finishes a component
-    only after every component it feeds, so each component's reach is
-    one bitset: its own members or-ed with the reach of its successors.
+    One pass of Tarjan's strongly connected component algorithm over the
+    whole snapshot.  Tarjan finishes a component only after every
+    component it feeds, so each component's reach is one bitset: its own
+    members or-ed with the reach of its successors.
     """
-    order: dict[str, int] = {}  # DFS number, also the node's bit
-    low: dict[str, int] = {}
-    comp_of: dict[str, int] = {}
+    succ = [[j for j, attr in edges if attr.kind == MATERIAL] for edges in ix.out]
+    order: dict[int, int] = {}  # DFS number, also the node's bit
+    low: dict[int, int] = {}
+    comp_of: dict[int, int] = {}
     reach: list[int] = []
-    stack: list[str] = []
-    for root in nodes:
+    stack: list[int] = []
+    for root in range(len(succ)):
         if root in order:
             continue
         order[root] = low[root] = len(order)
         stack.append(root)
-        work = [(root, iter(graph.out_edges(root, MATERIAL)))]
+        work = [(root, iter(succ[root]))]
         while work:
             v, edges = work[-1]
-            for w, _attr in edges:
+            for w in edges:
                 if w not in order:
                     order[w] = low[w] = len(order)
                     stack.append(w)
-                    work.append((w, iter(graph.out_edges(w, MATERIAL))))
+                    work.append((w, iter(succ[w])))
                     break
                 if w not in comp_of:  # still on the stack
                     low[v] = min(low[v], order[w])
@@ -276,92 +331,48 @@ def _reach_counts(graph: FlowsheetGraph, nodes: list[str]) -> dict[str, int]:
                     if w == v:
                         break
                 for w in popped:
-                    for x, _attr in graph.out_edges(w, MATERIAL):
+                    for x in succ[w]:
                         if comp_of[x] != scc:
                             bits |= reach[comp_of[x]]
                 reach.append(bits)
-    return {n: reach[comp_of[n]].bit_count() - 1 for n in nodes}
+    return [reach[comp_of[i]].bit_count() - 1 for i in range(len(succ))]
 
 
-def _step3_key(graph: FlowsheetGraph, name: str):
-    ref = graph.node_ref(name)
-    descs = []
-    for dst, attr in graph.out_edges(name):
-        material = attr.kind == MATERIAL
-        descs.append(
-            (
-                graph.node_ref(dst).category,
-                "out",
-                TAG_RANK[attr.tag] if material else -1,
-                0 if material else 1,
-            )
-        )
-    for src, attr in graph.in_edges(name):
-        material = attr.kind == MATERIAL
-        descs.append(
-            (
-                graph.node_ref(src).category,
-                "in",
-                TAG_RANK[attr.tag] if material else -1,
-                0 if material else 1,
-            )
-        )
-    descs.sort()
-    return (ref.category, graph.ctrl(name) or "", descs)
+def break_ties(ix: _Index, classes: list[list[str]]) -> list[str]:
+    """Flatten Morgan classes into a total order, lowest rank first.
 
-
-def _tie_key(graph: FlowsheetGraph, name: str, colors: dict[str, int], reach: dict[str, int]):
-    ref = graph.node_ref(name)
-    prio = _CATEGORY_PRIO.get(ref.category, 3)
-    if ref.category == "raw":
-        # Feeds with longer downstream paths come first.
-        deg_key = -reach[name]
-    elif prio == 3:
-        deg_key = reach[name]
-    else:
-        deg_key = 0
-    return (
-        prio,
-        deg_key,
-        _step3_key(graph, name),
-        colors[name],
-        (ref.category, ref.number, ref.sub or 0),
-    )
-
-
-def break_ties(
-    graph: FlowsheetGraph,
-    classes: list[list[str]],
-    colors: dict[str, int] | None = None,
-) -> list[str]:
-    """Flatten Morgan classes into a total order, lowest rank first."""
-    if colors is None:
-        colors = _refine_colors(graph)
-    reach = _reach_counts(graph, [n for cls in classes for n in cls])
+    A class is ordered by each member's (priority, reach key, local
+    descriptor); the descriptor is the node's category and control code
+    and the sorted (neighbor category, direction, tag rank, kind) of
+    every incident edge.  Only where two of those keys are equal do
+    refined colors and then equipment numbers decide.  Reach counts and
+    colors are computed on first need, once per ranking.
+    """
+    pos, refs, ctrl = ix.pos, ix.refs, ix.ctrl
     order: list[str] = []
     for cls in classes:
-        order.extend(sorted(cls, key=lambda n: _tie_key(graph, n, colors, reach)))
-    return order
-
-
-def _components(graph: FlowsheetGraph) -> list[list[str]]:
-    seen: set[str] = set()
-    comps: list[list[str]] = []
-    for n in graph.nodes():
-        if n in seen:
+        if len(cls) == 1:
+            order += cls
             continue
-        comp = []
-        stack = [n]
-        seen.add(n)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for m, _attr in graph.out_edges(x, MATERIAL) + graph.in_edges(x, MATERIAL):
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        comps.append(sorted(comp))
-    return comps
+        if ix.reach is None:
+            ix.reach = _reach_counts(ix)
+        key = {}
+        for i in map(pos.__getitem__, cls):
+            cat = refs[i].category
+            prio = _CATEGORY_PRIO.get(cat, 3)
+            # Feeds with longer downstream paths come first.
+            reach_key = -ix.reach[i] if cat == "raw" else ix.reach[i] if prio == 3 else 0
+            descs = [(refs[j].category, "out", *_EDGE_RANK[a.kind, a.tag]) for j, a in ix.out[i]]
+            descs += [(refs[j].category, "in", *_EDGE_RANK[a.kind, a.tag]) for j, a in ix.inc[i]]
+            key[i] = (prio, reach_key, (cat, ctrl[i], sorted(descs)))
+        members = sorted(key, key=key.__getitem__)
+        if any(key[a] == key[b] for a, b in zip(members, members[1:])):
+            if ix.colors is None:
+                ix.colors = _refine(ix)
+            colors = ix.colors
+            members.sort(key=lambda i: (key[i], colors[i], refs[i].number, refs[i].sub or 0))
+        order += map(ix.names.__getitem__, members)
+    return order
 
 
 def rank_components(graph: FlowsheetGraph) -> list[list[str]]:
@@ -370,8 +381,5 @@ def rank_components(graph: FlowsheetGraph) -> list[list[str]]:
     Components come in the order of their first node in ``graph``; the
     canonical component order is ``encode.rank_graph``'s job.
     """
-    colors = _refine_colors(graph)
-    return [
-        break_ties(graph, morgan_iterate(graph, comp).classes(), colors)
-        for comp in _components(graph)
-    ]
+    ix = _Index(graph)
+    return [break_ties(ix, morgan_iterate(graph, comp).classes()) for comp in ix.components()]

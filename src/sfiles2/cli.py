@@ -227,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="SFILES strings to graph JSON")
     p.add_argument("strings", nargs="+", help="SFILES strings, or - for stdin lines")
     _add_strict_flags(p)
-    p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("-o", "--output", help="write the JSON to this file")
     p.set_defaults(func=_cmd_decode)
 

@@ -4,9 +4,9 @@ Emission runs in two passes.  ``traverse`` plans a DFS forest over the
 ranked graph: tree edges become the written chain, back and repeated
 edges become numbered recycle pairs, and the first edge from a new tree
 into already written material becomes that tree's converging insertion
-point.  ``emit`` then walks the finished plan and renders tokens,
+point.  ``emit`` then walks the finished plan into a token list,
 assigning recycle, signal and equipment-group identifiers by first
-textual appearance.
+textual appearance, and renders it in one mode.
 
 ``rank_graph`` finishes the ranking that ``canon`` computes per
 component: equally sized components are ordered by their own strings,
@@ -349,19 +349,25 @@ def _render_part(graph, plan, p, mode):
     raise AssertionError(f"unrenderable part: {p!r}")
 
 
+def _parts(graph: FlowsheetGraph, plan: EmissionPlan, legacy: bool = False) -> list[object]:
+    """The plan's token list in text order, with identifiers assigned."""
+    parts: list[object] = []
+    for i, ti in enumerate(plan.trains):
+        if i:
+            parts.append("n|")
+        tree = plan.dfs_forest[ti]
+        _walk_node(graph, plan, tree, tree.root, parts, legacy)
+    _assign_ids(plan, parts)
+    return parts
+
+
 def emit(
     graph: FlowsheetGraph,
     plan: EmissionPlan,
     mode: str = GENERALIZED,
     legacy_converging: bool = False,
 ) -> str:
-    parts: list[object] = []
-    for i, ti in enumerate(plan.trains):
-        if i:
-            parts.append("n|")
-        tree = plan.dfs_forest[ti]
-        _walk_node(graph, plan, tree, tree.root, parts, legacy_converging)
-    _assign_ids(plan, parts)
+    parts = _parts(graph, plan, legacy_converging)
     return "".join(_render_part(graph, plan, p, mode) for p in parts)
 
 
@@ -410,19 +416,18 @@ def rank_graph(graph: FlowsheetGraph) -> RankTable:
 def _component_key(graph: FlowsheetGraph, order: list[str]):
     signals = {(n, dst) for n in order for dst, _attr in graph.out_edges(n, SIGNAL)}
     signals.update((src, n) for n in order for src, _attr in graph.in_edges(n, SIGNAL))
-    return (
-        component_string(graph, order, GENERALIZED),
-        component_string(graph, order, NUMBERED),
-        sorted(signals),
-    )
+    return (*component_string(graph, order), sorted(signals))
 
 
-def component_string(graph: FlowsheetGraph, order: list[str], mode: str = GENERALIZED) -> str:
+def component_string(graph: FlowsheetGraph, order: list[str]) -> tuple[str, str]:
     """Serialize a single ranked component, with identifiers local to it.
 
-    Used to order equally sized components; signal edges that leave the
-    component are omitted because the peer component has no rank yet.
+    Returns the generalized and the numbered string, rendered from one
+    plan.  Used to order equally sized components; signal edges that
+    leave the component are omitted because the peer component has no
+    rank yet.
     """
     table = RankTable({n: i for i, n in enumerate(order, 1)}, [list(order)])
     plan = traverse(graph, table)
-    return emit(graph, plan, mode)
+    parts = _parts(graph, plan)
+    return tuple("".join(_render_part(graph, plan, p, mode) for p in parts) for mode in MODES)

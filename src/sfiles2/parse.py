@@ -17,8 +17,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .encode import GENERALIZED, NUMBERED, _encode_both, encode
+from .errors import GraphInvariantError, ParseError
 from .model import COLUMN_TAGS, MATERIAL, SIGNAL, FlowsheetGraph, NodeRef
+from .validate import REGISTRY
 
 _NAME_RE = re.compile(r"^([A-Za-z]+)(?:-(\d+)(?:/(\d+))?)?$")
 _CTRL_RE = re.compile(r"^[A-Z]+$")
@@ -611,8 +613,6 @@ def _run_machine(tokens: list[Token], strict: bool, diags: ParseDiagnostics) -> 
 
 
 def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGraph | None:
-    from .validate import REGISTRY
-
     occs = m.occs
     for occ in occs:
         if occ.category not in REGISTRY:
@@ -721,7 +721,6 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
         ref = NodeRef(occ.category, occ.number, occ.sub)
         names.append(ref.name)
         graph.add_node(ref, ctrl=occ.ctrl)
-    from .errors import GraphInvariantError
 
     for edge in m.edges:
         try:
@@ -783,8 +782,6 @@ def _shape(graph: FlowsheetGraph):
 
 def roundtrip_check(graph: FlowsheetGraph) -> RoundtripReport:
     """Encode, reparse and re-encode; report anything that does not survive."""
-    from .encode import GENERALIZED, NUMBERED, _encode_both, encode
-
     problems: list[str] = []
     canonical, numbered = _encode_both(graph)
     reparsed, diags = parse(canonical)

@@ -1,5 +1,6 @@
 """Ranking: Morgan refinement, tie-breaking, component ordering."""
 
+import importlib
 import random
 
 import pytest
@@ -7,8 +8,11 @@ import pytest
 import canon_oracle
 import corpus
 import genflow
-from sfiles2 import FlowsheetGraph, encode, morgan_iterate, rank_graph
-from sfiles2.canon import _reach_counts, _refine_colors
+from sfiles2 import FlowsheetGraph, canon, encode, morgan_iterate, rank_graph
+from sfiles2.canon import _Index, _reach_counts, _refine, rank_components
+
+# The package's ``encode`` is the function; the module is needed here.
+encode_module = importlib.import_module("sfiles2.encode")
 
 
 class TestMorgan:
@@ -202,10 +206,64 @@ class TestAgainstReference:
     @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
     def test_refinement_colors(self, family):
         for g in ORACLE_FAMILIES[family]():
-            assert _refine_colors(g) == canon_oracle._refine_colors(g)
+            ix = _Index(g)
+            assert dict(zip(ix.names, _refine(ix))) == canon_oracle._refine_colors(g)
 
     @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
     def test_reach_counts(self, family):
         for g in ORACLE_FAMILIES[family]():
             want = {n: canon_oracle._successor_count(g, n) for n in g.nodes()}
-            assert _reach_counts(g, g.nodes()) == want
+            ix = _Index(g)
+            assert dict(zip(ix.names, _reach_counts(ix))) == want
+
+    @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+    def test_rank_order(self, family):
+        graphs = ORACLE_FAMILIES[family]()
+        rng = random.Random(11)
+        for g in graphs + [genflow.renumber_randomly(g, rng) for g in graphs]:
+            assert rank_components(g) == canon_oracle.rank_components(g)
+
+
+def _count_calls(monkeypatch, module, name) -> list[int]:
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestLazyStages:
+    """Colors are refined only on a structural tie, and once at most."""
+
+    @pytest.mark.parametrize(
+        "graph, refines",
+        [
+            (corpus.chain(50), 0),
+            (corpus.trains(5, 3), 0),
+            (corpus.exchanger_loop(8), 1),
+            (corpus.exchanger_loop(64), 1),
+        ],
+        ids=["chain", "trains", "exchanger_loop_8", "exchanger_loop_64"],
+    )
+    def test_refinement_runs_only_on_a_tie(self, monkeypatch, graph, refines):
+        calls = _count_calls(monkeypatch, canon, "_refine")
+        rank_graph(graph)
+        assert calls[0] == refines
+
+    @pytest.mark.parametrize(
+        "graph, tied",
+        [
+            (corpus.trains(5, 3), 5),
+            (corpus.trains(2, 1), 2),
+            (corpus.fixture("multistream_exchanger_plant").make(), 0),
+        ],
+        ids=["five_trains", "two_trains", "sizes_differ"],
+    )
+    def test_each_tied_component_is_planned_once(self, monkeypatch, graph, tied):
+        calls = _count_calls(monkeypatch, encode_module, "component_string")
+        rank_graph(graph)
+        assert calls[0] == tied
