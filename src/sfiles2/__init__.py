@@ -1,6 +1,6 @@
 """Bidirectional codec between flowsheet graphs and SFILES 2.0 strings."""
 
-from .canon import MorganState, RankTable, morgan_iterate
+from .canon import RankTable, morgan_iterate
 from .encode import GENERALIZED, NUMBERED, SfilesString, encode, rank_graph
 from .errors import (
     EncodeError,
@@ -44,7 +44,6 @@ __all__ = [
     "GraphDiagnostic",
     "GraphInvariantError",
     "MATERIAL",
-    "MorganState",
     "NUMBERED",
     "NodeRef",
     "ParseDiagnostics",

@@ -12,7 +12,7 @@ import sys
 
 from .encode import GENERALIZED, NUMBERED, encode
 from .errors import EncodeError, GraphInvariantError, SchemaError
-from .model import load_json, save_json
+from .model import _json_doc, load_json, save_json
 from .parse import parse, roundtrip_check
 from .validate import REGISTRY, check_graph
 
@@ -79,7 +79,7 @@ def _string_inputs(items: list[str]) -> list[str]:
     out: list[str] = []
     for item in items:
         if item == "-":
-            out.extend(line.rstrip("\n") for line in sys.stdin if line.strip())
+            out.extend(line for line in map(str.strip, sys.stdin) if line)
         else:
             out.append(item)
     return out
@@ -107,6 +107,8 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     texts = _string_inputs(args.strings)
+    # One string prints one indented document; several print one JSON line each.
+    serialize = save_json if len(texts) == 1 else _json_line
     docs: list[bytes] = []
     for text in texts:
         graph, diags = parse(text, strict=args.strict)
@@ -115,20 +117,19 @@ def _cmd_decode(args) -> int:
             return EXIT_PARSE
         if diags.entries:
             _print_diagnostics(text, diags)
-        docs.append(save_json(graph))
+        docs.append(serialize(graph))
     if args.output:
         with open(args.output, "wb") as fh:
-            for doc in docs:
-                fh.write(doc if len(docs) == 1 else _compact(doc))
+            fh.writelines(docs)
     else:
         for doc in docs:
-            payload = doc if len(docs) == 1 else _compact(doc)
-            sys.stdout.write(payload.decode("utf-8"))
+            sys.stdout.write(doc.decode("utf-8"))
     return EXIT_OK
 
 
-def _compact(doc: bytes) -> bytes:
-    return (json.dumps(json.loads(doc), separators=(",", ":")) + "\n").encode("utf-8")
+def _json_line(graph) -> bytes:
+    """The graph's ``save_json`` document on one compact line."""
+    return (json.dumps(_json_doc(graph), separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def _cmd_canon(args) -> int:

@@ -326,9 +326,9 @@ def load_json(
     return g
 
 
-def save_json(graph: FlowsheetGraph) -> bytes:
-    """Serialize to the canonical byte form: sorted, indented, newline-terminated."""
-    doc = {
+def _json_doc(graph: FlowsheetGraph) -> dict:
+    """The JSON document of a graph, with nodes and edges in sorted order."""
+    return {
         "nodes": [
             {"name": name, "ctrl": graph.ctrl(name)} for name in sorted(graph.nodes())
         ],
@@ -339,4 +339,8 @@ def save_json(graph: FlowsheetGraph) -> bytes:
             )
         ],
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def save_json(graph: FlowsheetGraph) -> bytes:
+    """Serialize to the canonical byte form: sorted, indented, newline-terminated."""
+    return (json.dumps(_json_doc(graph), indent=2) + "\n").encode("utf-8")

@@ -162,10 +162,9 @@ _ERROR_MESSAGES = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class _Occ:
     idx: int
-    raw: str
     category: str
     number: int | None
     sub: int | None
@@ -233,12 +232,12 @@ class _Machine:
         if m is None:
             self.error("bad-node-name", f"not a unit name: {tok.text!r}", tok.start, tok.end)
             return False
+        category, number, sub = m.groups()
         occ = _Occ(
             idx=len(self.occs),
-            raw=tok.text,
-            category=m.group(1),
-            number=int(m.group(2)) if m.group(2) else None,
-            sub=int(m.group(3)) if m.group(3) else None,
+            category=category,
+            number=int(number) if number else None,
+            sub=int(sub) if sub else None,
             start=tok.start,
             end=tok.end,
         )
@@ -661,29 +660,10 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
         )
         occ.group = None
 
-    explicit = bool(occs) and all(occ.number is not None for occ in occs)
-    honored = False
-    if explicit:
-        names = [
-            NodeRef(occ.category, occ.number, occ.sub).name for occ in occs
-        ]
-        ok = len(set(names)) == len(names)
-        if ok:
-            for members in groups.values():
-                if len({o.number for o in members}) != 1 or any(o.sub is None for o in members):
-                    ok = False
-                    break
-        if ok:
-            label_eq = {label: members[0].number for label, members in groups.items()}
-            ok = len(set(label_eq.values())) == len(label_eq)
-        if ok:
-            # plain and sub-unit spellings of one equipment cannot coexist
-            by_equipment: dict[tuple[str, int], set[bool]] = {}
-            for occ in occs:
-                by_equipment.setdefault((occ.category, occ.number), set()).add(occ.sub is None)
-            ok = all(len(v) == 1 for v in by_equipment.values())
-        honored = ok
-        if not honored:
+    refs = None
+    if occs and all(occ.number is not None for occ in occs):
+        refs = _explicit_refs(occs, groups)
+        if refs is None:
             diags.add(
                 "warning",
                 "renumbered",
@@ -700,7 +680,7 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
             occs[0].end,
         )
 
-    if not honored:
+    if refs is None:
         counters: dict[str, int] = {}
         group_eq: dict[str, list[int]] = {}
         for occ in occs:
@@ -714,13 +694,12 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
             else:
                 counters[occ.category] = counters.get(occ.category, 0) + 1
                 occ.number, occ.sub = counters[occ.category], None
+        refs = [NodeRef(occ.category, occ.number, occ.sub) for occ in occs]
 
     graph = FlowsheetGraph()
-    names: list[str] = []
-    for occ in occs:
-        ref = NodeRef(occ.category, occ.number, occ.sub)
-        names.append(ref.name)
+    for occ, ref in zip(occs, refs):
         graph.add_node(ref, ctrl=occ.ctrl)
+    names = graph.nodes()  # in occurrence order
 
     for edge in m.edges:
         try:
@@ -730,6 +709,28 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
     if diags.errors():
         return None
     return graph
+
+
+def _explicit_refs(occs: list[_Occ], groups: dict[str, list[_Occ]]) -> list[NodeRef] | None:
+    """The nodes named by the string's own labels, or None when those labels
+    are not a consistent numbering."""
+    try:
+        refs = [NodeRef(occ.category, occ.number, occ.sub) for occ in occs]
+    except ValueError:  # a label such as (r-1/2), (raw-0) or (hex-1/0)
+        return None
+    if len({(occ.category, occ.number, occ.sub) for occ in occs}) != len(occs):
+        return None
+    for members in groups.values():
+        if len({o.number for o in members}) != 1 or any(o.sub is None for o in members):
+            return None
+    if len({members[0].number for members in groups.values()}) != len(groups):
+        return None
+    # plain and sub-unit spellings of one exchanger cannot coexist; only
+    # exchangers carry sub-units
+    plain = {occ.number for occ in occs if occ.category == "hex" and occ.sub is None}
+    if any(occ.sub is not None and occ.number in plain for occ in occs):
+        return None
+    return refs
 
 
 def parse(text: str, strict: bool = True) -> tuple[FlowsheetGraph | None, ParseDiagnostics]:

@@ -98,6 +98,33 @@ class TestDecode:
             doc = json.loads(line)
             assert set(doc) == {"nodes", "edges"}
 
+    def test_multi_decode_lines_are_compact_save_json(self, capsys, tmp_path):
+        fixtures = [f for f in corpus.FIXTURES if f.numbered]
+        texts = [f.numbered for f in fixtures]
+        want = "".join(
+            json.dumps(json.loads(save_json(f.make())), separators=(",", ":")) + "\n"
+            for f in fixtures
+        )
+        assert main(["decode", *texts]) == 0
+        assert capsys.readouterr().out == want
+        target = tmp_path / "out.jsonl"
+        assert main(["decode", *texts, "-o", str(target)]) == 0
+        assert target.read_bytes() == want.encode("utf-8")
+
+    def test_single_decode_output_file_is_save_json(self, tmp_path):
+        f = corpus.fixture("reactor_recycle_plant")
+        target = tmp_path / "out.json"
+        assert main(["decode", f.numbered, "-o", str(target)]) == 0
+        assert target.read_bytes() == save_json(f.make())
+
+    def test_decode_stdin_crlf(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(" (raw)(hex)(prod)\r\n(raw)(r)(prod) \r\n"))
+        assert main(["decode", "-"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert set(json.loads(line)) == {"nodes", "edges"}
+
     def test_decode_parse_error_exit_and_caret(self, capsys):
         rc = main(["decode", "(raw)["])
         assert rc == 4
@@ -127,6 +154,12 @@ class TestCanon:
             rc = main(["canon", f.generalized])
             assert rc == 0
             assert capsys.readouterr().out.strip() == f.generalized, f.key
+
+    def test_canon_stdin_crlf(self, capsys, monkeypatch):
+        f = corpus.fixture("absorber")
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{f.numbered}\r\n\r\n {f.generalized}\r\n"))
+        assert main(["canon", "-"]) == 0
+        assert capsys.readouterr().out.splitlines() == [f.generalized, f.generalized]
 
     def test_canon_can_renumber(self, capsys):
         f = corpus.fixture("reactor_recycle_plant")

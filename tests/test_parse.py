@@ -113,6 +113,26 @@ class TestReconstruction:
         assert g.nodes().count("raw-1") == 1
         assert "raw-2" in g.nodes()
 
+    @pytest.mark.parametrize(
+        "text, unit",
+        [
+            ("(raw-1)(r-1/2)(prod-1)", "r-1"),
+            ("(raw-0)(r-1)(prod-1)", "r-1"),
+            ("(raw-1)(hex-1/0)(prod-1)", "hex-1"),
+        ],
+        ids=["sub-unit-off-exchanger", "number-zero", "sub-unit-zero"],
+    )
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+    def test_invalid_explicit_label_renumbers(self, text, unit, strict):
+        g, diags = parse(text, strict=strict)
+        assert [(d.level, d.code) for d in diags.entries] == [("warning", "renumbered")]
+        assert sorted(g.nodes()) == sorted(["raw-1", unit, "prod-1"])
+
+    def test_mixed_plain_and_sub_unit_exchanger_renumbers(self):
+        g, diags = parse("(raw-1)(hex-1/1){1}(hex-1)(hex-1/2){1}(prod-1)")
+        assert [d.code for d in diags.entries] == ["renumbered"]
+        assert sorted(g.nodes()) == ["hex-1/1", "hex-1/2", "hex-2", "prod-1", "raw-1"]
+
     def test_grouped_exchangers_share_equipment_number(self):
         g, diags = parse("(raw)(hex){1}(dist)[(prod)](hex){1}(prod)")
         assert diags.ok()
