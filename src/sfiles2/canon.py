@@ -28,6 +28,9 @@ _EDGE_RANK[SIGNAL, None] = (-1, 1)
 
 _CATEGORY_PRIO = {"C": 0, "prod": 1, "raw": 2}
 
+# Morgan refinement stops after this many rounds without a new distinct value.
+_STAGNATION_WINDOW = 3
+
 # Refinement descriptors are (direction, kind, tag, neighbor color)
 # tuples.  Numbering the first three in their sorted order lets one
 # descriptor pack into the int ``code * n + color``, which sorts like the
@@ -66,18 +69,14 @@ class RankTable:
     subgraph_order: list[list[str]]
 
 
-def morgan_iterate(
-    graph: FlowsheetGraph,
-    nodes: list[str] | None = None,
-    stagnation_window: int = 3,
-) -> MorganState:
+def morgan_iterate(graph: FlowsheetGraph, nodes: list[str] | None = None) -> MorganState:
     """Refine node values by summing neighbor values over material edges.
 
     Values start at 1.  Each iteration replaces a node's value with the
     sum over its incident material edges of the neighbor's value, so a
     parallel edge pair counts its neighbor twice.  Iteration stops once
     the number of distinct values has not improved for
-    ``stagnation_window`` rounds (or after 2*len(nodes) rounds), and the
+    ``_STAGNATION_WINDOW`` rounds (or after 2*len(nodes) rounds), and the
     returned state is the snapshot of the first iteration that reached
     the best discrimination.
     """
@@ -126,7 +125,7 @@ def morgan_iterate(
             stagnant = 0
         else:
             stagnant += 1
-            if stagnant >= stagnation_window:
+            if stagnant >= _STAGNATION_WINDOW:
                 break
     return MorganState(dict(zip(names, map(peak.__getitem__, where))), best, peak_iteration)
 

@@ -361,6 +361,12 @@ def _parts(graph: FlowsheetGraph, plan: EmissionPlan, legacy: bool = False) -> l
     return parts
 
 
+def _render_both(graph: FlowsheetGraph, plan: EmissionPlan) -> tuple[str, str]:
+    """The generalized and the numbered string of one plan, from one part list."""
+    parts = _parts(graph, plan)
+    return tuple("".join(_render_part(graph, plan, p, mode) for p in parts) for mode in MODES)
+
+
 def emit(
     graph: FlowsheetGraph,
     plan: EmissionPlan,
@@ -387,8 +393,8 @@ def encode(
 
 def _encode_both(graph: FlowsheetGraph) -> tuple[SfilesString, SfilesString]:
     """The generalized and the numbered string, from one ranking and one plan."""
-    plan = traverse(graph, rank_graph(graph))
-    return tuple(SfilesString(emit(graph, plan, mode), mode) for mode in MODES)
+    texts = _render_both(graph, traverse(graph, rank_graph(graph)))
+    return tuple(SfilesString(text, mode) for text, mode in zip(texts, MODES))
 
 
 def rank_graph(graph: FlowsheetGraph) -> RankTable:
@@ -428,6 +434,4 @@ def component_string(graph: FlowsheetGraph, order: list[str]) -> tuple[str, str]
     rank yet.
     """
     table = RankTable({n: i for i, n in enumerate(order, 1)}, [list(order)])
-    plan = traverse(graph, table)
-    parts = _parts(graph, plan)
-    return tuple("".join(_render_part(graph, plan, p, mode) for p in parts) for mode in MODES)
+    return _render_both(graph, traverse(graph, table))

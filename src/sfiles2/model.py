@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import insort
 from dataclasses import dataclass
 
 from .errors import GraphInvariantError, SchemaError
@@ -137,8 +138,7 @@ class FlowsheetGraph:
                 )
         self._nodes[name] = _Node(ref, ctrl)
         if members is not None:
-            members.append(name)
-            members.sort(key=lambda n: self._nodes[n].ref.sub or 0)
+            insort(members, name, key=lambda n: self._nodes[n].ref.sub or 0)
         return ref
 
     def has_node(self, name: str) -> bool:

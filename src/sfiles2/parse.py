@@ -24,7 +24,7 @@ from .validate import REGISTRY
 
 _NAME_RE = re.compile(r"^([A-Za-z]+)(?:-(\d+)(?:/(\d+))?)?$")
 _CTRL_RE = re.compile(r"^[A-Z]+$")
-_DIGITS_RE = re.compile(r"\d+")
+_DIGITS_RE = re.compile(r"[0-9]+")  # ASCII only: \d also matches digits such as "١"
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,9 @@ def tokenize(text: str) -> list[Token]:
         elif text.startswith("<%", i):
             m = _DIGITS_RE.match(text, i + 2)
             if m is None or len(m.group()) < 2:
-                out.append(Token("error", "bad-recycle-digits", i, min(i + 4, n)))
-                i = m.end() if m else i + 2
+                j = m.end() if m else i + 2
+                out.append(Token("error", "bad-recycle-digits", i, j))
+                i = j
             else:
                 out.append(Token("recycle_in", text[i + 2 : i + 4], i, i + 4))
                 i += 4
@@ -113,7 +114,7 @@ def tokenize(text: str) -> list[Token]:
             if nxt == "(":
                 out.append(Token("legacy_back", "<", i, i + 1))
                 i += 1
-            elif nxt.isdigit() and nxt != "0":
+            elif "1" <= nxt <= "9":
                 out.append(Token("recycle_in", nxt, i, i + 2))
                 i += 2
             else:
@@ -122,12 +123,13 @@ def tokenize(text: str) -> list[Token]:
         elif c == "%":
             m = _DIGITS_RE.match(text, i + 1)
             if m is None or len(m.group()) < 2:
-                out.append(Token("error", "bad-recycle-digits", i, min(i + 3, n)))
-                i = m.end() if m else i + 1
+                j = m.end() if m else i + 1
+                out.append(Token("error", "bad-recycle-digits", i, j))
+                i = j
             else:
                 out.append(Token("recycle_out", text[i + 1 : i + 3], i, i + 3))
                 i += 3
-        elif c.isdigit() and c != "0":
+        elif "1" <= c <= "9":
             out.append(Token("recycle_out", c, i, i + 1))
             i += 1
         elif c == "_":
@@ -194,6 +196,18 @@ class _Frame:
     await_node: bool = False
 
 
+# Mark kind -> the edge a matched pair of marks makes.
+_MARK_EDGE = {"recycle": MATERIAL, "signal": SIGNAL}
+
+# What a mark says when its id is already open on the same side.
+_MARK_CLASH = {
+    ("recycle", "in"): "already has a target",
+    ("recycle", "out"): "already has a source",
+    ("signal", "in"): "already has its in side",
+    ("signal", "out"): "already has its out side",
+}
+
+
 class _Machine:
     def __init__(self, strict: bool, diags: ParseDiagnostics):
         self.strict = strict
@@ -205,16 +219,14 @@ class _Machine:
         # pending column tag waiting for its edge: (tag, start, end)
         self.pending: tuple[str, int, int] | None = None
         self.attach: int | None = None  # occurrence open for node braces
-        self.rec_open: dict[int, tuple[str, int, str | None, int, int]] = {}
-        self.sig_open: dict[int, tuple[str, int, int, int]] = {}
+        # open marks, across trains: (kind, id) -> (side, occurrence, tag, start, end);
+        # only an out side carries a tag
+        self.marks: dict[tuple[str, int], tuple[str, int, str | None, int, int]] = {}
         self.failed = False
 
     def error(self, code, message, start, end):
         self.diags.add("error", code, message, start, end)
         self.failed = True
-
-    def warn(self, code, message, start, end):
-        self.diags.add("warning", code, message, start, end)
 
     def reset_train(self):
         self.frames.clear()
@@ -222,7 +234,25 @@ class _Machine:
         self.pending = None
         self.attach = None
 
+    def no_tag(self, why="has no stream to mark", code="dangling-tag") -> bool:
+        """True when no column tag waits; otherwise report the waiting tag."""
+        if self.pending is None:
+            return True
+        tag, start, end = self.pending
+        self.error(code, f"tag {tag!r} {why}", start, end)
+        return False
+
+    def take_tag(self) -> str | None:
+        """The waiting column tag, if any, now given to an edge."""
+        tag = self.pending[0] if self.pending is not None else None
+        self.pending = None
+        return tag
+
     # -- token handlers; each returns False to trigger skip-to-next-train
+
+    def on_error(self, tok: Token) -> bool:
+        self.error(tok.text, _ERROR_MESSAGES[tok.text], tok.start, tok.end)
+        return False
 
     def on_node(self, tok: Token) -> bool:
         if not tok.text:
@@ -252,35 +282,26 @@ class _Machine:
                     tok.end,
                 )
                 return False
-            frame.await_node = False
-            if self.pending is not None:
-                tag, s, e = self.pending
-                self.error("dangling-tag", f"tag {tag!r} cannot mark a legacy branch", s, e)
+            if not self.no_tag("cannot mark a legacy branch"):
                 return False
+            frame.await_node = False
             self.edges.append(
                 _PEdge(occ.idx, frame.chain_target, MATERIAL, None, tok.start, tok.end)
             )
             frame.chain_target = occ.idx
         elif self.current is not None:
-            tag = None
-            if self.pending is not None:
-                tag, _s, _e = self.pending
-                self.pending = None
-            self.edges.append(_PEdge(self.current, occ.idx, MATERIAL, tag, tok.start, tok.end))
-        elif self.pending is not None:
-            tag, s, e = self.pending
-            self.error("dangling-tag", f"tag {tag!r} has no stream to mark", s, e)
+            self.edges.append(
+                _PEdge(self.current, occ.idx, MATERIAL, self.take_tag(), tok.start, tok.end)
+            )
+        elif not self.no_tag():
             return False
-        self.current = occ.idx
-        self.attach = occ.idx
+        self.current = self.attach = occ.idx
         return True
 
     def on_brace(self, tok: Token) -> bool:
         text = tok.text
         if text in COLUMN_TAGS:
-            if self.pending is not None:
-                tag, s, e = self.pending
-                self.error("dangling-tag", f"tag {tag!r} has no stream to mark", s, e)
+            if not self.no_tag():
                 return False
             self.pending = (text, tok.start, tok.end)
             return True
@@ -302,14 +323,11 @@ class _Machine:
         if self.strict:
             self.error("unknown-brace", f"brace {text!r} is not recognized", tok.start, tok.end)
             return False
-        self.warn("unknown-brace", f"ignoring brace {text!r}", tok.start, tok.end)
+        self.diags.add("warning", "unknown-brace", f"ignoring brace {text!r}", tok.start, tok.end)
         return True
 
     def on_branch_open(self, tok: Token, legacy_next: bool) -> bool:
-        self.attach = None
-        if self.pending is not None:
-            tag, s, e = self.pending
-            self.error("dangling-tag", f"tag {tag!r} must follow the opening bracket", s, e)
+        if not self.no_tag("must follow the opening bracket"):
             return False
         if self.current is None:
             self.error(
@@ -323,30 +341,20 @@ class _Machine:
         return True
 
     def on_branch_close(self, tok: Token) -> bool:
-        self.attach = None
-        if self.pending is not None:
-            tag, s, e = self.pending
-            self.error("dangling-tag", f"tag {tag!r} has no stream to mark", s, e)
+        if not self.no_tag():
             return False
         if not self.frames or self.frames[-1].kind not in ("branch", "legacy"):
             self.error(
                 "unmatched-bracket-close", "no open branch to close", tok.start, tok.end
             )
             return False
-        frame = self.frames.pop()
-        if frame.kind == "legacy" and frame.await_node:
-            self.error(
-                "malformed-legacy", "legacy branch ends after a < mark", tok.start, tok.end
-            )
-            return False
-        self.current = frame.owner
+        # the lexer emits legacy_back only in front of "(", so a node or a
+        # lexer error always follows it: no legacy frame closes awaiting a node
+        self.current = self.frames.pop().owner
         return True
 
     def on_conv_open(self, tok: Token) -> bool:
-        self.attach = None
-        if self.pending is not None:
-            tag, s, e = self.pending
-            self.error("dangling-tag", f"tag {tag!r} has no stream to mark", s, e)
+        if not self.no_tag():
             return False
         if self.current is None:
             self.error(
@@ -361,7 +369,6 @@ class _Machine:
         return True
 
     def on_connector(self, tok: Token) -> bool:
-        self.attach = None
         conv = None
         for frame in reversed(self.frames):
             if frame.kind == "conv":
@@ -385,19 +392,14 @@ class _Machine:
         if self.current is None:
             self.error("mark-without-node", "& has no node to connect", tok.start, tok.end)
             return False
-        tag = None
-        if self.pending is not None:
-            tag, _s, _e = self.pending
-            self.pending = None
         conv.seen_connector = True
-        self.edges.append(_PEdge(self.current, conv.owner, MATERIAL, tag, tok.start, tok.end))
+        self.edges.append(
+            _PEdge(self.current, conv.owner, MATERIAL, self.take_tag(), tok.start, tok.end)
+        )
         return True
 
     def on_conv_close(self, tok: Token) -> bool:
-        self.attach = None
-        if self.pending is not None:
-            tag, s, e = self.pending
-            self.error("dangling-tag", f"tag {tag!r} has no stream to mark", s, e)
+        if not self.no_tag():
             return False
         if not self.frames:
             self.error(
@@ -425,93 +427,39 @@ class _Machine:
         self.current = frame.owner
         return True
 
-    def on_recycle_in(self, tok: Token) -> bool:
-        self.attach = None
-        if self.pending is not None:
-            tag, s, e = self.pending
-            self.error("dangling-tag", f"tag {tag!r} cannot mark a recycle target", s, e)
-            return False
-        if self.current is None:
-            self.error("mark-without-node", "recycle mark has no node", tok.start, tok.end)
-            return False
-        rid = int(tok.text)
-        open_ = self.rec_open.get(rid)
-        if open_ is not None and open_[0] == "out":
-            _side, src, tag, _s, _e = open_
-            del self.rec_open[rid]
-            self.edges.append(_PEdge(src, self.current, MATERIAL, tag, tok.start, tok.end))
-        else:
-            if open_ is not None:
-                self.error(
-                    "dangling-recycle",
-                    f"recycle {rid} already has a target",
-                    tok.start,
-                    tok.end,
-                )
-                return False
-            self.rec_open[rid] = ("in", self.current, None, tok.start, tok.end)
-        return True
-
-    def on_recycle_out(self, tok: Token) -> bool:
-        self.attach = None
-        if self.current is None:
-            self.error("mark-without-node", "recycle mark has no node", tok.start, tok.end)
-            return False
+    def on_mark(self, tok: Token, kind: str, side: str) -> bool:
+        """One recycle or signal mark; the second mark of an id makes the edge."""
         tag = None
-        if self.pending is not None:
-            tag, _s, _e = self.pending
-            self.pending = None
-        rid = int(tok.text)
-        open_ = self.rec_open.get(rid)
-        if open_ is not None and open_[0] == "in":
-            _side, dst, _tag, _s, _e = open_
-            del self.rec_open[rid]
-            self.edges.append(_PEdge(self.current, dst, MATERIAL, tag, tok.start, tok.end))
-        else:
-            if open_ is not None:
-                self.error(
-                    "dangling-recycle",
-                    f"recycle {rid} already has a source",
-                    tok.start,
-                    tok.end,
-                )
+        if kind == "signal":
+            if not self.no_tag("cannot mark a signal", code="tag-on-signal"):
                 return False
-            self.rec_open[rid] = ("out", self.current, tag, tok.start, tok.end)
-        return True
-
-    def on_signal(self, tok: Token, side: str) -> bool:
-        self.attach = None
-        if self.pending is not None:
-            tag, s, e = self.pending
-            self.error("tag-on-signal", f"tag {tag!r} cannot mark a signal", s, e)
-            return False
+        elif side == "in":
+            if not self.no_tag("cannot mark a recycle target"):
+                return False
+        else:
+            tag = self.take_tag()  # the out side owns the column tag
         if self.current is None:
-            self.error("mark-without-node", "signal mark has no node", tok.start, tok.end)
+            self.error("mark-without-node", f"{kind} mark has no node", tok.start, tok.end)
             return False
-        sid = int(tok.text)
-        open_ = self.sig_open.get(sid)
-        other = "in" if side == "out" else "out"
-        if open_ is not None and open_[0] == other:
-            _side, occ, _s, _e = open_
-            del self.sig_open[sid]
-            if side == "out":
-                self.edges.append(_PEdge(self.current, occ, SIGNAL, None, tok.start, tok.end))
-            else:
-                self.edges.append(_PEdge(occ, self.current, SIGNAL, None, tok.start, tok.end))
+        key = (kind, int(tok.text))
+        open_ = self.marks.get(key)
+        if open_ is None:
+            self.marks[key] = (side, self.current, tag, tok.start, tok.end)
+            return True
+        other, occ, open_tag, _s, _e = open_
+        if other == side:
+            message = f"{kind} {key[1]} {_MARK_CLASH[kind, side]}"
+            self.error(f"dangling-{kind}", message, tok.start, tok.end)
+            return False
+        del self.marks[key]
+        if side == "out":
+            src, dst = self.current, occ
         else:
-            if open_ is not None:
-                self.error(
-                    "dangling-signal",
-                    f"signal {sid} already has its {side} side",
-                    tok.start,
-                    tok.end,
-                )
-                return False
-            self.sig_open[sid] = (side, self.current, tok.start, tok.end)
+            src, dst, tag = occ, self.current, open_tag
+        self.edges.append(_PEdge(src, dst, _MARK_EDGE[kind], tag, tok.start, tok.end))
         return True
 
     def on_legacy_back(self, tok: Token) -> bool:
-        self.attach = None
         frame = self.frames[-1] if self.frames else None
         if frame is None or frame.kind != "legacy":
             self.error(
@@ -521,17 +469,11 @@ class _Machine:
                 tok.end,
             )
             return False
-        if frame.await_node:
-            self.error("malformed-legacy", "doubled < mark", tok.start, tok.end)
-            return False
         frame.await_node = True
         return True
 
     def on_train_sep(self, tok: Token) -> bool:
-        self.attach = None
-        if self.pending is not None:
-            tag, s, e = self.pending
-            self.error("dangling-tag", f"tag {tag!r} has no stream to mark", s, e)
+        if not self.no_tag():
             return False
         if self.frames:
             frame = self.frames[-1]
@@ -542,69 +484,51 @@ class _Machine:
         return True
 
     def finish(self) -> None:
-        if self.failed:
-            return
-        if self.pending is not None:
-            tag, s, e = self.pending
-            self.error("dangling-tag", f"tag {tag!r} has no stream to mark", s, e)
+        self.no_tag()
         for frame in self.frames:
             code = "unclosed-converging" if frame.kind == "conv" else "unclosed-branch"
             self.error(code, "still open at the end of the input", frame.start, frame.start + 1)
-        for rid, (_side, _occ, _tag, s, e) in sorted(self.rec_open.items()):
-            self.error("dangling-recycle", f"recycle {rid} is never matched", s, e)
-        for sid, (_side, _occ, s, e) in sorted(self.sig_open.items()):
-            self.error("dangling-signal", f"signal {sid} is never matched", s, e)
+        # recycles before signals, each in id order
+        for (kind, mid), (_side, _occ, _tag, s, e) in sorted(self.marks.items()):
+            self.error(f"dangling-{kind}", f"{kind} {mid} is never matched", s, e)
 
 
 def _run_machine(tokens: list[Token], strict: bool, diags: ParseDiagnostics) -> _Machine:
     m = _Machine(strict, diags)
+    handlers = {
+        "error": m.on_error,
+        "node": m.on_node,
+        "brace": m.on_brace,
+        "branch_close": m.on_branch_close,
+        "conv_open": m.on_conv_open,
+        "conv_connector": m.on_connector,
+        "conv_close": m.on_conv_close,
+        "recycle_in": lambda tok: m.on_mark(tok, "recycle", "in"),
+        "recycle_out": lambda tok: m.on_mark(tok, "recycle", "out"),
+        "signal_in": lambda tok: m.on_mark(tok, "signal", "in"),
+        "signal_out": lambda tok: m.on_mark(tok, "signal", "out"),
+        "legacy_back": m.on_legacy_back,
+        "train_sep": m.on_train_sep,
+    }
     i = 0
     n = len(tokens)
     while i < n:
         tok = tokens[i]
-        if tok.kind == "error":
-            m.error(tok.text, _ERROR_MESSAGES[tok.text], tok.start, tok.end)
-            ok = False
-        elif tok.kind == "node":
-            ok = m.on_node(tok)
-        elif tok.kind == "brace":
-            ok = m.on_brace(tok)
-        elif tok.kind == "branch_open":
-            legacy_next = i + 1 < n and tokens[i + 1].kind == "legacy_back"
-            ok = m.on_branch_open(tok, legacy_next)
-        elif tok.kind == "branch_close":
-            ok = m.on_branch_close(tok)
-        elif tok.kind == "conv_open":
-            ok = m.on_conv_open(tok)
-        elif tok.kind == "conv_connector":
-            ok = m.on_connector(tok)
-        elif tok.kind == "conv_close":
-            ok = m.on_conv_close(tok)
-        elif tok.kind == "recycle_in":
-            ok = m.on_recycle_in(tok)
-        elif tok.kind == "recycle_out":
-            ok = m.on_recycle_out(tok)
-        elif tok.kind == "signal_out":
-            ok = m.on_signal(tok, "out")
-        elif tok.kind == "signal_in":
-            ok = m.on_signal(tok, "in")
-        elif tok.kind == "legacy_back":
-            ok = m.on_legacy_back(tok)
-        elif tok.kind == "train_sep":
-            ok = m.on_train_sep(tok)
-        else:  # pragma: no cover
-            raise AssertionError(f"unhandled token kind {tok.kind}")
+        kind = tok.kind
+        if kind != "node" and kind != "brace":
+            m.attach = None  # braces after anything else do not annotate a node
+        if kind == "branch_open":
+            ok = m.on_branch_open(tok, i + 1 < n and tokens[i + 1].kind == "legacy_back")
+        else:
+            ok = handlers[kind](tok)
         if not ok:
             # first error per train: skip ahead to the next separator,
             # unless the failing token was itself the separator
-            if tok.kind != "train_sep":
+            if kind != "train_sep":
                 while i + 1 < n and tokens[i + 1].kind != "train_sep":
                     i += 1
                 i += 1
             m.reset_train()
-            m.failed = True
-            i += 1
-            continue
         i += 1
     if not m.failed:
         m.finish()
@@ -615,22 +539,16 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
     occs = m.occs
     for occ in occs:
         if occ.category not in REGISTRY:
-            if strict:
-                diags.add(
-                    "error",
-                    "unknown-category",
-                    f"category {occ.category!r} is not in the registry",
-                    occ.start,
-                    occ.end,
-                )
-            else:
-                diags.add(
-                    "warning",
-                    "unknown-category",
-                    f"treating unknown category {occ.category!r} as X",
-                    occ.start,
-                    occ.end,
-                )
+            diags.add(
+                "error" if strict else "warning",
+                "unknown-category",
+                f"category {occ.category!r} is not in the registry"
+                if strict
+                else f"treating unknown category {occ.category!r} as X",
+                occ.start,
+                occ.end,
+            )
+            if not strict:
                 occ.category = "X"
                 occ.number = None
                 occ.sub = None

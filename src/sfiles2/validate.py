@@ -9,10 +9,8 @@ ends, so only an unknown category can be escalated to an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .model import FlowsheetGraph
+from .model import MATERIAL, FlowsheetGraph
 
 
 @dataclass(frozen=True)
@@ -108,24 +106,17 @@ def _is_mount_edge(graph: FlowsheetGraph, dst: str) -> bool:
     return ref.category == "C" and graph.material_out_degree(dst) == 0
 
 
-def check_graph(
-    graph: FlowsheetGraph,
-    registry: dict[str, UnitOp] | None = None,
-    strict: bool = False,
-) -> list[GraphDiagnostic]:
+def check_graph(graph: FlowsheetGraph, strict: bool = False) -> list[GraphDiagnostic]:
     """Check every node against the registry degree table.
 
     Returns diagnostics sorted by node name.  Unknown categories are
     errors in strict mode and warnings otherwise; degree deviations are
     always warnings.
     """
-    from .model import MATERIAL
-
-    registry = REGISTRY if registry is None else registry
     out: list[GraphDiagnostic] = []
     for name in sorted(graph.nodes()):
         ref = graph.node_ref(name)
-        op = registry.get(ref.category)
+        op = REGISTRY.get(ref.category)
         if op is None:
             level = "error" if strict else "warning"
             out.append(

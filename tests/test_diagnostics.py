@@ -2,12 +2,9 @@
 report, pinned byte for byte: level, code, message, start and end, in
 strict and in lenient mode.
 
-The parse machine returns at the first error of a train, so each input
-exercises one message (or, for the end-of-input report, an ordered run
-of them).  Two messages have no input here because no token sequence
-reaches them: ``legacy_back`` is only lexed in front of ``(``, so a node
-token or a lexer error always follows a ``<`` mark in a legacy branch.
-"""
+The parse machine stops a train at its first error, so each input
+exercises one message, or for the end-of-input report an ordered run
+of them."""
 
 import pytest
 
@@ -197,8 +194,14 @@ CASES = [
         [("error", "bad-recycle-digits", "a recycle mark with % needs exactly two digits", 3, 6)],
         SAME,
     ),
+    # a bad recycle mark's span ends where lexing resumes, before the "x"
     (
         "(a)%1x",
+        [("error", "bad-recycle-digits", "a recycle mark with % needs exactly two digits", 3, 5)],
+        SAME,
+    ),
+    (
+        "(a)<%1x",
         [("error", "bad-recycle-digits", "a recycle mark with % needs exactly two digits", 3, 6)],
         SAME,
     ),
@@ -215,6 +218,14 @@ CASES = [
     ("(a)<x", [("error", "illegal-character", "character has no meaning here", 3, 4)], SAME),
     ("(a)!", [("error", "illegal-character", "character has no meaning here", 3, 4)], SAME),
     ("(a)<", [("error", "illegal-character", "character has no meaning here", 3, 4)], SAME),
+    # marks take ASCII digits only; "²" passes str.isdigit, but int() rejects it
+    ("(a)²", [("error", "illegal-character", "character has no meaning here", 3, 4)], SAME),
+    ("(a)<١", [("error", "illegal-character", "character has no meaning here", 3, 4)], SAME),
+    (
+        "(a)_١",
+        [("error", "bad-signal-digits", "a signal mark needs at least one digit", 3, 4)],
+        SAME,
+    ),
     (
         "(a)%",
         [("error", "bad-recycle-digits", "a recycle mark with % needs exactly two digits", 3, 4)],

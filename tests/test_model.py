@@ -213,6 +213,21 @@ class TestAdjacencyIndex:
                 for n in members:
                     assert g.equipment_group(n) == members
 
+    @pytest.mark.parametrize("order", ["shuffled", "descending"])
+    def test_sub_units_stay_in_order_whatever_the_insertion_order(self, order):
+        subs = list(range(1, 31))
+        if order == "shuffled":
+            random.Random(5).shuffle(subs)
+        else:
+            subs.reverse()
+        g = FlowsheetGraph()
+        g.add_node("hex-2")
+        for i, sub in enumerate(subs):
+            g.add_node(f"hex-1/{sub}")
+            want = [f"hex-1/{s}" for s in sorted(subs[: i + 1])]
+            assert g.equipment_group(f"hex-1/{sub}") == want
+        assert g.equipment_group("hex-2") == ["hex-2"]
+
     def test_edges_are_grouped_by_source(self):
         g = corpus.build(
             ["raw-1", "v-1", "v-2", "prod-1"],
