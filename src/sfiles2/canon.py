@@ -5,8 +5,8 @@ refinement over the undirected material graph, then rule based
 tie-breaking inside the surviving equivalence classes.  The resulting
 rank order is what makes string emission deterministic.  Components of
 equal size are ordered by their strings, next to the string code in
-``encode``.  Every stage but Morgan reads one integer snapshot of the
-graph, taken once per ranking.
+``encode``.  Every stage reads one integer snapshot of the graph,
+``_Index``, which emission then reads too.
 """
 
 from __future__ import annotations
@@ -48,9 +48,12 @@ _DESC_CODE = {
 
 @dataclass
 class MorganState:
-    """Snapshot of the refinement at its most discriminating iteration."""
+    """Snapshot of the refinement at its most discriminating iteration.
 
-    value: dict[str, int]
+    ``value`` maps each node, by name or by snapshot id, to its value.
+    """
+
+    value: dict
     val_set: int
     iteration: int
 
@@ -70,44 +73,51 @@ class RankTable:
 
 
 def morgan_iterate(graph: FlowsheetGraph, nodes: list[str] | None = None) -> MorganState:
+    """Morgan refinement of ``nodes`` (default: every node), keyed by name.
+
+    Only material edges between two of ``nodes`` count.  See ``_morgan``.
+    """
+    ix = _Index(graph)
+    wanted = set(ix.names if nodes is None else nodes)
+    state = _morgan(ix, [i for i, name in enumerate(ix.names) if name in wanted])
+    state.value = {ix.names[i]: v for i, v in state.value.items()}
+    return state
+
+
+def _morgan(ix: _Index, comp: list[int]) -> MorganState:
     """Refine node values by summing neighbor values over material edges.
 
     Values start at 1.  Each iteration replaces a node's value with the
     sum over its incident material edges of the neighbor's value, so a
     parallel edge pair counts its neighbor twice.  Iteration stops once
     the number of distinct values has not improved for
-    ``_STAGNATION_WINDOW`` rounds (or after 2*len(nodes) rounds), and the
-    returned state is the snapshot of the first iteration that reached
-    the best discrimination.
+    ``_STAGNATION_WINDOW`` rounds (or after 2*len(comp) rounds), and the
+    returned state, keyed by node id, is the snapshot of the first
+    iteration that reached the best discrimination.
     """
-    names = list(nodes) if nodes is not None else graph.nodes()
-    index = {n: i for i, n in enumerate(names)}
-    nbrs: list[list[int]] = [[] for _ in names]
-    for i, n in enumerate(names):
-        for dst, _attr in graph.out_edges(n, MATERIAL):
-            j = index.get(dst)
-            if j is not None:
+    nbrs: dict[int, list[int]] = {i: [] for i in comp}
+    for i in comp:
+        for j, attr in ix.out[i]:
+            if attr.kind == MATERIAL and j in nbrs:
                 nbrs[i].append(j)
                 nbrs[j].append(i)
 
     # Values are kept in order of neighbor count, and each run of nodes
     # with k neighbors sums its neighbors column by column, so a round
     # loops in C rather than once per node in Python.
-    perm = sorted(range(len(names)), key=lambda i: len(nbrs[i]))
-    where = [0] * len(names)
-    for p, i in enumerate(perm):
-        where[i] = p
+    perm = sorted(comp, key=lambda i: len(nbrs[i]))
+    where = {i: p for p, i in enumerate(perm)}
     runs = []
     for degree, run in groupby(perm, key=lambda i: len(nbrs[i])):
         run = list(run)
         runs.append((len(run), [[where[nbrs[i][k]] for i in run] for k in range(degree)]))
 
-    value = [1] * len(names)
+    value = [1] * len(comp)
     best = len(set(value))
     peak, peak_iteration = value, 0
     stagnant = 0
-    for it in range(1, 2 * len(names) + 1):
-        if best == len(names):
+    for it in range(1, 2 * len(comp) + 1):
+        if best == len(comp):
             break  # fully discriminated, nothing left to refine
         get = value.__getitem__
         value = []
@@ -127,25 +137,26 @@ def morgan_iterate(graph: FlowsheetGraph, nodes: list[str] | None = None) -> Mor
             stagnant += 1
             if stagnant >= _STAGNATION_WINDOW:
                 break
-    return MorganState(dict(zip(names, map(peak.__getitem__, where))), best, peak_iteration)
+    return MorganState({i: peak[where[i]] for i in comp}, best, peak_iteration)
 
 
 class _Index:
-    """One integer snapshot of a graph, read by every stage of one ranking.
+    """One integer snapshot of a graph, read by ranking and emission alike.
 
     Node ``i`` is the ``i``-th name of ``graph.nodes()``.  ``out`` and
     ``inc`` hold ``(j, EdgeAttr)`` pairs for every edge, material and
-    signal alike.  ``reach`` and ``colors`` are filled in by
-    ``break_ties`` when it first needs them.  The graph is mutable, so a
-    snapshot lives for one ranking only.
+    signal alike.  ``partners`` maps each exchanger sub-unit that shares
+    its shell with another to all the shell's members.  ``reach`` and
+    ``colors`` are filled in by ``break_ties`` when it first needs them.
+    The graph is mutable, so a snapshot lives for one encoding only.
     """
 
-    __slots__ = ("names", "pos", "refs", "ctrl", "out", "inc", "reach", "colors")
+    __slots__ = ("names", "refs", "ctrl", "out", "inc", "partners", "reach", "colors")
 
     def __init__(self, graph: FlowsheetGraph):
         self.names = names = graph.nodes()
-        self.pos = pos = {name: i for i, name in enumerate(names)}
-        self.refs = [graph.node_ref(name) for name in names]
+        pos = {name: i for i, name in enumerate(names)}
+        self.refs = refs = [graph.node_ref(name) for name in names]
         self.ctrl = [graph.ctrl(name) or "" for name in names]
         self.out = out = [[] for _ in names]
         self.inc = inc = [[] for _ in names]
@@ -153,15 +164,21 @@ class _Index:
             i, j = pos[src], pos[dst]
             out[i].append((j, attr))
             inc[j].append((i, attr))
+        # Only exchanger sub-units share equipment: other names are unique.
+        shells: dict[int, list[int]] = {}
+        for i, ref in enumerate(refs):
+            if ref.sub is not None:
+                shells.setdefault(ref.number, []).append(i)
+        self.partners = {i: shell for shell in shells.values() if len(shell) > 1 for i in shell}
         self.reach: list[int] | None = None
         self.colors: list[int] | None = None
 
-    def components(self) -> list[list[str]]:
-        """Material components as sorted name lists, in order of their first node."""
-        names, out, inc = self.names, self.out, self.inc
-        seen = [False] * len(names)
+    def components(self) -> list[list[int]]:
+        """Material components as node id lists, in order of their first node."""
+        out, inc = self.out, self.inc
+        seen = [False] * len(out)
         comps = []
-        for root in range(len(names)):
+        for root in range(len(out)):
             if seen[root]:
                 continue
             seen[root] = True
@@ -169,13 +186,13 @@ class _Index:
             stack = [root]
             while stack:
                 i = stack.pop()
-                comp.append(names[i])
+                comp.append(i)
                 for edges in (out[i], inc[i]):
                     for j, attr in edges:
                         if not seen[j] and attr.kind == MATERIAL:
                             seen[j] = True
                             stack.append(j)
-            comps.append(sorted(comp))
+            comps.append(comp)
         return comps
 
 
@@ -207,16 +224,13 @@ def _refine(ix: _Index) -> list[int]:
     refinement costs O((n + m) log n) descriptor entries.
     """
     n = len(ix.names)
-    equipment: dict[tuple[str, int], list[int]] = {}
-    for i, ref in enumerate(ix.refs):
-        equipment.setdefault(ref.equipment, []).append(i)
     # Per node: (code * n, j) for every incident edge and partner j.
     grp = _DESC_CODE["grp", "", ""] * n
     inc = [
         [(_DESC_CODE["out", a.kind, a.tag or ""] * n, j) for j, a in ix.out[i]]
         + [(_DESC_CODE["in", a.kind, a.tag or ""] * n, j) for j, a in ix.inc[i]]
-        + [(grp, j) for j in equipment[ref.equipment] if j != i]
-        for i, ref in enumerate(ix.refs)
+        + [(grp, j) for j in ix.partners.get(i, ()) if j != i]
+        for i in range(n)
     ]
 
     # Classes: first position in the color order, and members.
@@ -337,7 +351,7 @@ def _reach_counts(ix: _Index) -> list[int]:
     return [reach[comp_of[i]].bit_count() - 1 for i in range(len(succ))]
 
 
-def break_ties(ix: _Index, classes: list[list[str]]) -> list[str]:
+def break_ties(ix: _Index, classes: list[list[int]]) -> list[int]:
     """Flatten Morgan classes into a total order, lowest rank first.
 
     A class is ordered by each member's (priority, reach key, local
@@ -347,8 +361,8 @@ def break_ties(ix: _Index, classes: list[list[str]]) -> list[str]:
     refined colors and then equipment numbers decide.  Reach counts and
     colors are computed on first need, once per ranking.
     """
-    pos, refs, ctrl = ix.pos, ix.refs, ix.ctrl
-    order: list[str] = []
+    refs, ctrl = ix.refs, ix.ctrl
+    order: list[int] = []
     for cls in classes:
         if len(cls) == 1:
             order += cls
@@ -356,7 +370,7 @@ def break_ties(ix: _Index, classes: list[list[str]]) -> list[str]:
         if ix.reach is None:
             ix.reach = _reach_counts(ix)
         key = {}
-        for i in map(pos.__getitem__, cls):
+        for i in cls:
             cat = refs[i].category
             prio = _CATEGORY_PRIO.get(cat, 3)
             # Feeds with longer downstream paths come first.
@@ -370,15 +384,14 @@ def break_ties(ix: _Index, classes: list[list[str]]) -> list[str]:
                 ix.colors = _refine(ix)
             colors = ix.colors
             members.sort(key=lambda i: (key[i], colors[i], refs[i].number, refs[i].sub or 0))
-        order += map(ix.names.__getitem__, members)
+        order += members
     return order
 
 
-def rank_components(graph: FlowsheetGraph) -> list[list[str]]:
-    """Every material component's nodes in rank order, lowest rank first.
+def rank_components(ix: _Index) -> list[list[int]]:
+    """Every material component's node ids in rank order, lowest rank first.
 
-    Components come in the order of their first node in ``graph``; the
-    canonical component order is ``encode.rank_graph``'s job.
+    Components come in the order of their first node in the graph; the
+    canonical component order is ``encode``'s job.
     """
-    ix = _Index(graph)
-    return [break_ties(ix, morgan_iterate(graph, comp).classes()) for comp in ix.components()]
+    return [break_ties(ix, _morgan(ix, comp).classes()) for comp in ix.components()]

@@ -1,14 +1,18 @@
 """Serialization of flowsheet graphs into SFILES 2.0 strings.
 
+An encoding reads the graph once, into one ``canon._Index``.  Ranking,
+planning and rendering work on its integer node ids and look a name up
+only to write it into a numbered string.
+
 Emission runs in two passes.  ``traverse`` plans a DFS forest over the
-ranked graph: tree edges become the written chain, back and repeated
+ranked components: tree edges become the written chain, back and repeated
 edges become numbered recycle pairs, and the first edge from a new tree
 into already written material becomes that tree's converging insertion
 point.  ``emit`` then walks the finished plan into a token list,
 assigning recycle, signal and equipment-group identifiers by first
 textual appearance, and renders it in one mode.
 
-``rank_graph`` finishes the ranking that ``canon`` computes per
+``_ranked`` finishes the ranking that ``canon`` computes per
 component: equally sized components are ordered by their own strings,
 so that step lives here, beside ``component_string``.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .canon import RankTable, rank_components
+from .canon import RankTable, _Index, rank_components
 from .errors import EncodeError
 from .model import MATERIAL, SIGNAL, FlowsheetGraph
 
@@ -40,33 +44,26 @@ class SfilesString(str):
 @dataclass
 class _Tree:
     index: int
-    component: int
-    root: str
-    children: dict[str, list[tuple[str, str | None]]] = field(default_factory=dict)
-    order: list[str] = field(default_factory=list)
+    root: int
+    children: dict[int, list[tuple[int, str | None]]] = field(default_factory=dict)
     # (source, merge target, tag) once this tree converges into earlier text
-    anchor: tuple[str, str, str | None] | None = None
+    anchor: tuple[int, int, str | None] | None = None
 
 
 @dataclass
 class EmissionPlan:
     dfs_forest: list[_Tree]
     trains: list[int]
-    insertions: dict[str, list[int]]
-    recycles: list[tuple[str, str, str | None]]
-    rec_in: dict[str, list[int]]
-    rec_out: dict[str, list[int]]
-    sig_out: dict[str, list[tuple[str, str]]]
-    sig_in: dict[str, list[tuple[str, str]]]
-    group_of: dict[str, tuple[str, int]]
+    insertions: dict[int, list[int]]
+    recycles: list[tuple[int, int, str | None]]
+    rec_in: dict[int, list[int]]
+    rec_out: dict[int, list[int]]
+    sig_out: dict[int, list[tuple[int, int]]]
+    sig_in: dict[int, list[tuple[int, int]]]
+    group_of: dict[int, tuple[str, int]]
     recycle_ids: dict[int, int] = field(default_factory=dict)
-    signal_ids: dict[tuple[str, str], int] = field(default_factory=dict)
+    signal_ids: dict[tuple[int, int], int] = field(default_factory=dict)
     hex_group_ids: dict[tuple[str, int], int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class _NodeTok:
-    name: str
 
 
 @dataclass(frozen=True)
@@ -75,35 +72,37 @@ class _Mark:
     key: object
 
 
-def _sorted_out(graph: FlowsheetGraph, name: str, rank: dict[str, int]):
-    out = [
-        (dst, attr.tag)
-        for dst, attr in graph.out_edges(name, MATERIAL)
-    ]
-    out.sort(key=lambda e: rank[e[0]])
+def _material(edges) -> bool:
+    return any(attr.kind == MATERIAL for _j, attr in edges)
+
+
+def _sorted_out(ix: _Index, node: int, pos: dict[int, int]):
+    out = [(dst, attr.tag) for dst, attr in ix.out[node] if attr.kind == MATERIAL]
+    out.sort(key=lambda e: pos[e[0]])
     return out
 
 
-def _cycle_root(graph: FlowsheetGraph, unvisited: list[str], rank: dict[str, int]) -> str:
-    pool = set(unvisited)
-    movers = [n for n in unvisited if graph.material_out_degree(n) > 0]
-    w = min(movers or unvisited, key=lambda n: rank[n])
-    preds = [
-        src
-        for src, attr in graph.in_edges(w, MATERIAL)
-        if src in pool
-    ]
-    if preds:
-        return min(preds, key=lambda n: rank[n])
-    return w
+def _roots(ix: _Index, comp: list[int], pos: dict[int, int], tree_of: dict[int, int]):
+    """One component's tree roots, each yielded once the trees before it are grown.
+
+    First every unit without a material inlet, in rank order: no other
+    tree can reach one.  Then, while units are left, the first of them
+    with a material outlet (or the first one) is entered from its first
+    unplanted material predecessor, if it has one.
+    """
+    for node in comp:
+        if not _material(ix.inc[node]):
+            yield node
+    while unvisited := [n for n in comp if n not in tree_of]:
+        w = next((n for n in unvisited if _material(ix.out[n])), unvisited[0])
+        preds = [src for src, attr in ix.inc[w] if attr.kind == MATERIAL and src not in tree_of]
+        yield min(preds, key=pos.__getitem__, default=w)
 
 
-def _grow_tree(graph, tree, rank, visited, tree_of, recycles):
-    visited.add(tree.root)
+def _grow_tree(ix, tree, pos, tree_of, recycles):
     tree_of[tree.root] = tree.index
-    tree.order.append(tree.root)
     on_stack = {tree.root}
-    stack = [(tree.root, iter(_sorted_out(graph, tree.root, rank)))]
+    stack = [(tree.root, iter(_sorted_out(ix, tree.root, pos)))]
     while stack:
         node, edges = stack[-1]
         step = next(edges, None)
@@ -112,12 +111,10 @@ def _grow_tree(graph, tree, rank, visited, tree_of, recycles):
             on_stack.discard(node)
             continue
         dst, tag = step
-        if dst not in visited:
-            visited.add(dst)
+        if dst not in tree_of:
             tree_of[dst] = tree.index
             tree.children.setdefault(node, []).append((dst, tag))
-            tree.order.append(dst)
-            stack.append((dst, iter(_sorted_out(graph, dst, rank))))
+            stack.append((dst, iter(_sorted_out(ix, dst, pos))))
             on_stack.add(dst)
         elif dst in on_stack:
             recycles.append((node, dst, tag))
@@ -127,69 +124,48 @@ def _grow_tree(graph, tree, rank, visited, tree_of, recycles):
             recycles.append((node, dst, tag))
 
 
-def traverse(graph: FlowsheetGraph, ranks: RankTable) -> EmissionPlan:
-    """Plan the DFS forest for the components listed in ``ranks``."""
+def traverse(ix: _Index, components: list[list[int]]) -> EmissionPlan:
+    """Plan the DFS forest for ``components``, each a list of node ids in rank order."""
+    # Textual position of every planned node, for deterministic mark order.
+    pos = {node: p for p, node in enumerate(n for comp in components for n in comp)}
     trees: list[_Tree] = []
     trains: list[int] = []
-    insertions: dict[str, list[int]] = {}
-    recycles: list[tuple[str, str, str | None]] = []
-    visited: set[str] = set()
-    tree_of: dict[str, int] = {}
-
-    for comp_idx, comp in enumerate(ranks.subgraph_order):
-        ranked = sorted(comp, key=ranks.rank.__getitem__)
-        roots = [n for n in ranked if graph.material_in_degree(n) == 0]
-        qi = 0
-        while True:
-            root = None
-            while qi < len(roots):
-                cand = roots[qi]
-                qi += 1
-                if cand not in visited:
-                    root = cand
-                    break
-            if root is None:
-                unvisited = [n for n in ranked if n not in visited]
-                if not unvisited:
-                    break
-                root = _cycle_root(graph, unvisited, ranks.rank)
-            tree = _Tree(len(trees), comp_idx, root)
+    insertions: dict[int, list[int]] = {}
+    recycles: list[tuple[int, int, str | None]] = []
+    tree_of: dict[int, int] = {}
+    for comp in components:
+        for root in _roots(ix, comp, pos, tree_of):
+            tree = _Tree(len(trees), root)
             trees.append(tree)
-            _grow_tree(graph, tree, ranks.rank, visited, tree_of, recycles)
+            _grow_tree(ix, tree, pos, tree_of, recycles)
             if tree.anchor is None:
                 trains.append(tree.index)
             else:
                 insertions.setdefault(tree.anchor[1], []).append(tree.index)
 
-    # Textual position of every planned node, for deterministic mark order.
-    pos: dict[str, tuple[int, int]] = {}
-    for ci, comp in enumerate(ranks.subgraph_order):
-        for n in comp:
-            pos[n] = (ci, ranks.rank[n])
-
-    rec_in: dict[str, list[int]] = {}
-    rec_out: dict[str, list[int]] = {}
+    rec_in: dict[int, list[int]] = {}
+    rec_out: dict[int, list[int]] = {}
     for i, (src, dst, _tag) in enumerate(recycles):
         rec_out.setdefault(src, []).append(i)
         rec_in.setdefault(dst, []).append(i)
-    for name, items in rec_in.items():
+    for items in rec_in.values():
         items.sort(key=lambda i: pos[recycles[i][0]])
-    for name, items in rec_out.items():
+    for items in rec_out.values():
         items.sort(key=lambda i: pos[recycles[i][1]])
 
-    sig_out: dict[str, list[tuple[str, str]]] = {}
-    sig_in: dict[str, list[tuple[str, str]]] = {}
-    group_of: dict[str, tuple[str, int]] = {}
+    sig_out: dict[int, list[tuple[int, int]]] = {}
+    sig_in: dict[int, list[tuple[int, int]]] = {}
+    group_of: dict[int, tuple[str, int]] = {}
     for src in pos:
-        for dst, _attr in graph.out_edges(src, SIGNAL):
-            if dst in pos:
+        for dst, attr in ix.out[src]:
+            if attr.kind == SIGNAL and dst in pos:
                 sig_out.setdefault(src, []).append((src, dst))
                 sig_in.setdefault(dst, []).append((src, dst))
-        if len(graph.equipment_group(src)) >= 2:
-            group_of[src] = graph.node_ref(src).equipment
-    for name, items in sig_out.items():
+        if src in ix.partners:
+            group_of[src] = ix.refs[src].equipment
+    for items in sig_out.values():
         items.sort(key=lambda e: pos[e[1]])
-    for name, items in sig_in.items():
+    for items in sig_in.values():
         items.sort(key=lambda e: pos[e[0]])
 
     return EmissionPlan(
@@ -205,7 +181,7 @@ def traverse(graph: FlowsheetGraph, ranks: RankTable) -> EmissionPlan:
     )
 
 
-def _legacy_parts(graph, plan, tree):
+def _legacy_parts(ix, plan, tree):
     # The v1 notation writes a converging branch as a reversed chain, so
     # the inserted tree must be a plain pipe of nodes feeding at its end.
     chain = []
@@ -239,17 +215,16 @@ def _legacy_parts(graph, plan, tree):
     parts: list[object] = ["["]
     for n in reversed(chain):
         parts.append("<")
-        parts.append(_NodeTok(n))
-        ctrl = graph.ctrl(n)
-        if ctrl:
-            parts.append("{%s}" % ctrl)
+        parts.append(n)
+        if ix.ctrl[n]:
+            parts.append("{%s}" % ix.ctrl[n])
         if n in plan.group_of:
             parts.append(_Mark("group", plan.group_of[n]))
     parts.append("]")
     return parts
 
 
-def _walk_node(graph, plan, tree, node, parts, legacy):
+def _walk_node(ix, plan, tree, node, parts, legacy):
     # Depth first over an explicit stack, so chains of any length fit:
     # an entry is a (tree, node) pair still to write or a finished part.
     stack: list[object] = [(tree, node)]
@@ -259,10 +234,9 @@ def _walk_node(graph, plan, tree, node, parts, legacy):
             parts.append(item)
             continue
         tree, node = item
-        parts.append(_NodeTok(node))
-        ctrl = graph.ctrl(node)
-        if ctrl:
-            parts.append("{%s}" % ctrl)
+        parts.append(node)
+        if ix.ctrl[node]:
+            parts.append("{%s}" % ix.ctrl[node])
         if node in plan.group_of:
             parts.append(_Mark("group", plan.group_of[node]))
         for ri in plan.rec_in.get(node, ()):
@@ -282,7 +256,7 @@ def _walk_node(graph, plan, tree, node, parts, legacy):
         for ins in plan.insertions.get(node, ()):
             sub = plan.dfs_forest[ins]
             if legacy:
-                todo.extend(_legacy_parts(graph, plan, sub))
+                todo.extend(_legacy_parts(ix, plan, sub))
             else:
                 todo += ["<&|", (sub, sub.root), "|"]
         kids = tree.children.get(node, [])
@@ -328,12 +302,11 @@ def _assign_ids(plan: EmissionPlan, parts: list[object]) -> None:
             next_sig += 1
 
 
-def _render_part(graph, plan, p, mode):
+def _render_part(ix, plan, p, mode):
     if isinstance(p, str):
         return p
-    if isinstance(p, _NodeTok):
-        ref = graph.node_ref(p.name)
-        return "(%s)" % (ref.category if mode == GENERALIZED else p.name)
+    if isinstance(p, int):
+        return "(%s)" % (ix.refs[p].category if mode == GENERALIZED else ix.names[p])
     if p.kind == "rec_in":
         return "<" + _digits(plan.recycle_ids[p.key])
     if p.kind == "rec_out":
@@ -349,32 +322,35 @@ def _render_part(graph, plan, p, mode):
     raise AssertionError(f"unrenderable part: {p!r}")
 
 
-def _parts(graph: FlowsheetGraph, plan: EmissionPlan, legacy: bool = False) -> list[object]:
-    """The plan's token list in text order, with identifiers assigned."""
+def _parts(ix: _Index, plan: EmissionPlan, legacy: bool = False) -> list[object]:
+    """The plan's token list in text order, with identifiers assigned.
+
+    A node is its id; a string is written as it is.
+    """
     parts: list[object] = []
     for i, ti in enumerate(plan.trains):
         if i:
             parts.append("n|")
         tree = plan.dfs_forest[ti]
-        _walk_node(graph, plan, tree, tree.root, parts, legacy)
+        _walk_node(ix, plan, tree, tree.root, parts, legacy)
     _assign_ids(plan, parts)
     return parts
 
 
-def _render_both(graph: FlowsheetGraph, plan: EmissionPlan) -> tuple[str, str]:
+def _render_both(ix: _Index, plan: EmissionPlan) -> tuple[str, str]:
     """The generalized and the numbered string of one plan, from one part list."""
-    parts = _parts(graph, plan)
-    return tuple("".join(_render_part(graph, plan, p, mode) for p in parts) for mode in MODES)
+    parts = _parts(ix, plan)
+    return tuple("".join(_render_part(ix, plan, p, mode) for p in parts) for mode in MODES)
 
 
 def emit(
-    graph: FlowsheetGraph,
+    ix: _Index,
     plan: EmissionPlan,
     mode: str = GENERALIZED,
     legacy_converging: bool = False,
 ) -> str:
-    parts = _parts(graph, plan, legacy_converging)
-    return "".join(_render_part(graph, plan, p, mode) for p in parts)
+    parts = _parts(ix, plan, legacy_converging)
+    return "".join(_render_part(ix, plan, p, mode) for p in parts)
 
 
 def encode(
@@ -386,46 +362,46 @@ def encode(
     """Render the canonical SFILES 2.0 string for a graph."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    ranks = rank_graph(graph)
-    plan = traverse(graph, ranks)
-    return SfilesString(emit(graph, plan, mode, legacy_converging), mode)
+    ix = _Index(graph)
+    plan = traverse(ix, _ranked(ix))
+    return SfilesString(emit(ix, plan, mode, legacy_converging), mode)
 
 
 def _encode_both(graph: FlowsheetGraph) -> tuple[SfilesString, SfilesString]:
     """The generalized and the numbered string, from one ranking and one plan."""
-    texts = _render_both(graph, traverse(graph, rank_graph(graph)))
+    ix = _Index(graph)
+    texts = _render_both(ix, traverse(ix, _ranked(ix)))
     return tuple(SfilesString(text, mode) for text, mode in zip(texts, MODES))
 
 
 def rank_graph(graph: FlowsheetGraph) -> RankTable:
-    """Rank every node 1..n within its component and order the components.
+    """Rank every node 1..n within its component and order the components."""
+    ix = _Index(graph)
+    order = [[ix.names[i] for i in comp] for comp in _ranked(ix)]
+    return RankTable({name: r for comp in order for r, name in enumerate(comp, 1)}, order)
+
+
+def _ranked(ix: _Index) -> list[list[int]]:
+    """Every component's node ids in rank order, components in emission order.
 
     Components are emitted largest first.  Equal sizes are ordered by
-    their provisional generalized string, then the numbered string, and
-    as a last resort by their signal connections.
+    their provisional generalized string, then the numbered string,
+    which names every unit and so differs between any two components.
     """
-    by_size: dict[int, list[list[str]]] = {}
-    for order in rank_components(graph):
-        by_size.setdefault(len(order), []).append(order)
+    by_size: dict[int, list[list[int]]] = {}
+    for comp in rank_components(ix):
+        by_size.setdefault(len(comp), []).append(comp)
 
-    final: list[list[str]] = []
+    final: list[list[int]] = []
     for size in sorted(by_size, reverse=True):
         group = by_size[size]
         if len(group) > 1:
-            group.sort(key=lambda order: _component_key(graph, order))
+            group.sort(key=lambda comp: component_string(ix, comp))
         final.extend(group)
-
-    rank = {name: i for order in final for i, name in enumerate(order, 1)}
-    return RankTable(rank, final)
+    return final
 
 
-def _component_key(graph: FlowsheetGraph, order: list[str]):
-    signals = {(n, dst) for n in order for dst, _attr in graph.out_edges(n, SIGNAL)}
-    signals.update((src, n) for n in order for src, _attr in graph.in_edges(n, SIGNAL))
-    return (*component_string(graph, order), sorted(signals))
-
-
-def component_string(graph: FlowsheetGraph, order: list[str]) -> tuple[str, str]:
+def component_string(ix: _Index, order: list[int]) -> tuple[str, str]:
     """Serialize a single ranked component, with identifiers local to it.
 
     Returns the generalized and the numbered string, rendered from one
@@ -433,5 +409,4 @@ def component_string(graph: FlowsheetGraph, order: list[str]) -> tuple[str, str]
     leave the component are omitted because the peer component has no
     rank yet.
     """
-    table = RankTable({n: i for i, n in enumerate(order, 1)}, [list(order)])
-    return _render_both(graph, traverse(graph, table))
+    return _render_both(ix, traverse(ix, [order]))

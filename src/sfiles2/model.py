@@ -24,7 +24,7 @@ EDGE_KINDS = (MATERIAL, SIGNAL)
 # Column stream tags: bottom/top inlets, bottom/top draws.
 COLUMN_TAGS = ("bin", "tin", "bout", "tout")
 
-_NAME_RE = re.compile(r"^([A-Za-z]+)-(\d+)(?:/(\d+))?$")
+_NAME_RE = re.compile(r"^([A-Za-z]+)-([0-9]+)(?:/([0-9]+))?$")  # ASCII digits only
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,20 +200,14 @@ class FlowsheetGraph:
     def material_out_degree(self, name: str) -> int:
         return len(self.out_edges(name, MATERIAL))
 
-    def equipment_group(self, name: str) -> list[str]:
-        """``name`` and every node sharing its equipment, sub-units in order."""
-        ref = self._nodes[name].ref
-        if ref.category != "hex":
-            return [name]
-        return list(self._hex[ref.number])
-
     def equipment_groups(self) -> dict[tuple[str, int], list[str]]:
         """All nodes grouped by shared equipment, sub-units in order."""
         groups: dict[tuple[str, int], list[str]] = {}
         for name, node in self._nodes.items():
-            key = node.ref.equipment
-            if key not in groups:
-                groups[key] = self.equipment_group(name)
+            ref = node.ref
+            if ref.equipment not in groups:
+                shared = ref.category == "hex"
+                groups[ref.equipment] = list(self._hex[ref.number]) if shared else [name]
         return groups
 
     # -- comparison and copying

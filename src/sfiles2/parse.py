@@ -22,9 +22,10 @@ from .errors import GraphInvariantError, ParseError
 from .model import COLUMN_TAGS, MATERIAL, SIGNAL, FlowsheetGraph, NodeRef
 from .validate import REGISTRY
 
-_NAME_RE = re.compile(r"^([A-Za-z]+)(?:-(\d+)(?:/(\d+))?)?$")
+# Digits are ASCII only: \d and str.isdigit also take digits such as "١".
+_NAME_RE = re.compile(r"^([A-Za-z]+)(?:-([0-9]+)(?:/([0-9]+))?)?$")
 _CTRL_RE = re.compile(r"^[A-Z]+$")
-_DIGITS_RE = re.compile(r"[0-9]+")  # ASCII only: \d also matches digits such as "١"
+_DIGITS_RE = re.compile(r"[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -306,7 +307,7 @@ class _Machine:
             self.pending = (text, tok.start, tok.end)
             return True
         target = self.occs[self.attach] if self.attach is not None else None
-        if target is not None and text.isdigit() and target.category == "hex":
+        if target is not None and _DIGITS_RE.fullmatch(text) and target.category == "hex":
             target.group = text
             return True
         if target is not None and _CTRL_RE.match(text) and target.category == "C":

@@ -217,11 +217,22 @@ class TestAgainstReference:
             assert dict(zip(ix.names, _reach_counts(ix))) == want
 
     @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+    def test_morgan_values(self, family):
+        graphs = ORACLE_FAMILIES[family]()
+        rng = random.Random(13)
+        for g in graphs + [genflow.renumber_randomly(g, rng) for g in graphs]:
+            assert morgan_iterate(g) == canon_oracle.morgan_iterate(g)
+            for comp in canon_oracle._components(g):
+                assert morgan_iterate(g, comp) == canon_oracle.morgan_iterate(g, comp)
+
+    @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
     def test_rank_order(self, family):
         graphs = ORACLE_FAMILIES[family]()
         rng = random.Random(11)
         for g in graphs + [genflow.renumber_randomly(g, rng) for g in graphs]:
-            assert rank_components(g) == canon_oracle.rank_components(g)
+            ix = _Index(g)
+            got = [[ix.names[i] for i in order] for order in rank_components(ix)]
+            assert got == canon_oracle.rank_components(g)
 
 
 def _count_calls(monkeypatch, module, name) -> list[int]:

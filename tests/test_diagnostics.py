@@ -231,6 +231,20 @@ CASES = [
         [("error", "bad-recycle-digits", "a recycle mark with % needs exactly two digits", 3, 4)],
         SAME,
     ),
+    # names and exchanger group braces take ASCII digits only, like marks
+    (
+        "(raw-١)(v-١)(prod-١)",
+        [("error", "bad-node-name", "not a unit name: 'raw-١'", 0, 7)],
+        SAME,
+    ),
+    (
+        "(raw)(hex){١}(v)(hex){١}(prod)",
+        [("error", "unknown-brace", "brace '١' is not recognized", 10, 13)],
+        [
+            ("warning", "unknown-brace", "ignoring brace '١'", 10, 13),
+            ("warning", "unknown-brace", "ignoring brace '١'", 21, 24),
+        ],
+    ),
     (
         "(raw)(frob)(prod)",
         [("error", "unknown-category", "category 'frob' is not in the registry", 5, 11)],

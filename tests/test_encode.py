@@ -3,7 +3,7 @@
 import pytest
 
 import corpus
-from sfiles2 import EncodeError, FlowsheetGraph, encode, parse_sfiles
+from sfiles2 import EncodeError, FlowsheetGraph, encode, parse_sfiles, roundtrip_check
 
 
 @pytest.mark.parametrize("key", [f.key for f in corpus.FIXTURES])
@@ -163,3 +163,22 @@ def test_long_chain_encodes_without_recursion_limit():
     s = encode(g)
     assert s == "(raw)" + "(pp)" * 2000 + "(prod)"
     assert parse_sfiles(s) == g
+
+
+def test_encoding_reads_no_neighbour_query(monkeypatch):
+    # Encoding takes one snapshot of the graph and reads only that.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("neighbour query during encoding")
+
+    for name in ("out_edges", "in_edges", "material_in_degree", "material_out_degree"):
+        monkeypatch.setattr(FlowsheetGraph, name, forbidden)
+    for f in corpus.FIXTURES:
+        g = f.make()
+        assert str(encode(g)) == f.generalized
+        encode(g, mode="numbered")
+        for mode in ("generalized", "numbered"):
+            try:
+                encode(g, mode, legacy_converging=True)
+            except EncodeError:
+                pass
+        assert roundtrip_check(g).ok

@@ -26,6 +26,19 @@ def test_roundtrip_check_passes_on_corpus(key):
     assert report.canonical == corpus.fixture(key).generalized
 
 
+def test_out_mark_right_after_a_two_digit_in_mark():
+    # An id after % has exactly two digits: "<%111" is in-mark 11
+    # followed by out-mark 1 on the same unit.
+    names = ["raw-1"] + [f"v-{i}" for i in range(1, 13)] + ["prod-1"]
+    edges = list(zip(names, names[1:])) + [(f"v-{13 - k}", f"v-{k}") for k in range(1, 7)]
+    edges += [("v-12", f"v-{k}") for k in range(2, 6)] + [("v-6", "v-1")]
+    g = corpus.build(names, edges)
+    numbered = encode(g, mode="numbered")
+    assert "(v-6)<%111(v-7)" in numbered
+    assert parse_sfiles(numbered) == g
+    assert roundtrip_check(g).ok
+
+
 @pytest.mark.parametrize("key", [f.key for f in corpus.FIXTURES if f.numbered])
 def test_numbered_projects_onto_generalized(key):
     f = corpus.fixture(key)
