@@ -9,8 +9,9 @@ ranked components: tree edges become the written chain, back and repeated
 edges become numbered recycle pairs, and the first edge from a new tree
 into already written material becomes that tree's converging insertion
 point.  ``emit`` then walks the finished plan into a token list,
-assigning recycle, signal and equipment-group identifiers by first
-textual appearance, and renders it in one mode.
+assigning recycle and equipment-group identifiers by first textual
+appearance and signal identifiers in the order of their out-marks
+(``_n``), and renders it in one mode.
 
 ``_ranked`` finishes the ranking that ``canon`` computes per
 component: equally sized components are ordered by their own strings,
@@ -126,7 +127,8 @@ def _grow_tree(ix, tree, pos, tree_of, recycles):
 
 def traverse(ix: _Index, components: list[list[int]]) -> EmissionPlan:
     """Plan the DFS forest for ``components``, each a list of node ids in rank order."""
-    # Textual position of every planned node, for deterministic mark order.
+    # Rank-order position of every planned node (components in order, each
+    # in rank order), for deterministic mark order.
     pos = {node: p for p, node in enumerate(n for comp in components for n in comp)}
     trees: list[_Tree] = []
     trains: list[int] = []

@@ -24,7 +24,10 @@ EDGE_KINDS = (MATERIAL, SIGNAL)
 # Column stream tags: bottom/top inlets, bottom/top draws.
 COLUMN_TAGS = ("bin", "tin", "bout", "tout")
 
-_NAME_RE = re.compile(r"^([A-Za-z]+)-([0-9]+)(?:/([0-9]+))?$")  # ASCII digits only
+_NAME_RE = re.compile(r"([A-Za-z]+)-([0-9]+)(?:/([0-9]+))?")  # ASCII only
+
+# The letter code of a control node, as the notation writes it in braces.
+CTRL_RE = re.compile(r"[A-Z]+")
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,7 +43,7 @@ class NodeRef:
     sub: int | None = None
 
     def __post_init__(self):
-        if not self.category or not self.category.isalpha():
+        if not (self.category.isascii() and self.category.isalpha()):
             raise ValueError(f"bad category: {self.category!r}")
         if self.number < 1:
             raise ValueError(f"equipment number must be positive: {self.number!r}")
@@ -62,7 +65,7 @@ class NodeRef:
 
     @classmethod
     def parse(cls, name: str) -> NodeRef:
-        m = _NAME_RE.match(name)
+        m = _NAME_RE.fullmatch(name)
         if not m:
             raise ValueError(f"not a node name: {name!r}")
         sub = m.group(3)
@@ -129,6 +132,8 @@ class FlowsheetGraph:
             raise GraphInvariantError(
                 "control code is required on C nodes and forbidden elsewhere"
             )
+        if ctrl is not None and not CTRL_RE.fullmatch(ctrl):
+            raise GraphInvariantError(f"control code must be capital letters A-Z: {ctrl!r}")
         members = None
         if ref.category == "hex":
             members = self._hex.setdefault(ref.number, [])

@@ -1,11 +1,11 @@
 """SFILES 2.0 parsing: tokens, graph reconstruction, round-trip checking.
 
-The tokenizer is longest-match over a fixed alphabet; every token owns a
-contiguous span of the input so diagnostics can point at the offending
-characters.  The parser is a single pass with a frame stack for branch
-brackets and converging groups, symmetric matching for recycle and
-signal mark pairs, and a finalize step that assigns equipment numbers
-and builds the graph through the model API.
+The tokenizer is one table of token rules, tried in order at each
+position; every token owns a contiguous span of the input so diagnostics
+can point at the offending characters.  The parser is a single pass with
+a frame stack for branch brackets and converging groups, symmetric
+matching for recycle and signal mark pairs, and a finalize step that
+assigns equipment numbers and builds the graph through the model API.
 
 Recovery is one error per train: after a hard error the parser skips to
 the next ``n|`` separator and keeps collecting diagnostics, but returns
@@ -16,20 +16,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .encode import GENERALIZED, NUMBERED, _encode_both, encode
 from .errors import GraphInvariantError, ParseError
-from .model import COLUMN_TAGS, MATERIAL, SIGNAL, FlowsheetGraph, NodeRef
+from .model import COLUMN_TAGS, CTRL_RE, MATERIAL, SIGNAL, FlowsheetGraph, NodeRef
 from .validate import REGISTRY
 
 # Digits are ASCII only: \d and str.isdigit also take digits such as "١".
-_NAME_RE = re.compile(r"^([A-Za-z]+)(?:-([0-9]+)(?:/([0-9]+))?)?$")
-_CTRL_RE = re.compile(r"^[A-Z]+$")
+_NAME_RE = re.compile(r"([A-Za-z]+)(?:-([0-9]+)(?:/([0-9]+))?)?")
 _DIGITS_RE = re.compile(r"[0-9]+")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     start: int
@@ -62,97 +61,47 @@ class ParseDiagnostics:
         return not self.errors()
 
 
+# The lexical grammar, one row per token rule in priority order:
+# (kind, error code or None, pattern).  Every pattern has exactly one
+# group, the token's text; an error token's text is its code instead.
+# No row matches the empty string and the last one takes any character,
+# so the tokens tile the input.  Digits are ASCII only.
+_TOKEN_RULES = (
+    ("node", None, r"\(([^)]*)\)"),
+    ("error", "unterminated-node", r"(\().*"),
+    ("brace", None, r"\{([^}]*)\}"),
+    ("error", "unterminated-brace", r"(\{).*"),
+    ("branch_open", None, r"(\[)"),
+    ("branch_close", None, r"(\])"),
+    ("conv_open", None, r"(<&\|)"),
+    ("recycle_in", None, r"<%([0-9]{2})"),
+    ("error", "bad-recycle-digits", r"(<%)[0-9]?"),
+    ("signal_in", None, r"<_([0-9]+)"),
+    ("error", "bad-signal-digits", r"(<_)"),
+    ("legacy_back", None, r"(<)(?=\()"),
+    ("recycle_in", None, r"<([1-9])"),
+    ("recycle_out", None, r"%([0-9]{2})"),
+    ("error", "bad-recycle-digits", r"(%)[0-9]?"),
+    ("recycle_out", None, r"([1-9])"),
+    ("signal_out", None, r"_([0-9]+)"),
+    ("error", "bad-signal-digits", r"(_)"),
+    ("train_sep", None, r"(n\|)"),
+    ("conv_connector", None, r"(&)"),
+    ("conv_close", None, r"(\|)"),
+    ("error", "illegal-character", r"(.)"),
+)
+_TOKEN_RE = re.compile("|".join(p for _k, _c, p in _TOKEN_RULES), re.DOTALL)
+_TOKEN_KINDS = [None] + [(k, c) for k, c, _p in _TOKEN_RULES]  # by group number
+
+
 def tokenize(text: str) -> list[Token]:
     """Lex the input; malformed stretches come back as kind="error" tokens
     whose text is the diagnostic code."""
     out: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "(":
-            j = text.find(")", i)
-            if j < 0:
-                out.append(Token("error", "unterminated-node", i, n))
-                break
-            out.append(Token("node", text[i + 1 : j], i, j + 1))
-            i = j + 1
-        elif c == "{":
-            j = text.find("}", i)
-            if j < 0:
-                out.append(Token("error", "unterminated-brace", i, n))
-                break
-            out.append(Token("brace", text[i + 1 : j], i, j + 1))
-            i = j + 1
-        elif c == "[":
-            out.append(Token("branch_open", c, i, i + 1))
-            i += 1
-        elif c == "]":
-            out.append(Token("branch_close", c, i, i + 1))
-            i += 1
-        elif text.startswith("<&|", i):
-            out.append(Token("conv_open", "<&|", i, i + 3))
-            i += 3
-        elif text.startswith("<%", i):
-            m = _DIGITS_RE.match(text, i + 2)
-            if m is None or len(m.group()) < 2:
-                j = m.end() if m else i + 2
-                out.append(Token("error", "bad-recycle-digits", i, j))
-                i = j
-            else:
-                out.append(Token("recycle_in", text[i + 2 : i + 4], i, i + 4))
-                i += 4
-        elif text.startswith("<_", i):
-            m = _DIGITS_RE.match(text, i + 2)
-            if m is None:
-                out.append(Token("error", "bad-signal-digits", i, i + 2))
-                i += 2
-            else:
-                out.append(Token("signal_in", m.group(), i, m.end()))
-                i = m.end()
-        elif c == "<":
-            nxt = text[i + 1] if i + 1 < n else ""
-            if nxt == "(":
-                out.append(Token("legacy_back", "<", i, i + 1))
-                i += 1
-            elif "1" <= nxt <= "9":
-                out.append(Token("recycle_in", nxt, i, i + 2))
-                i += 2
-            else:
-                out.append(Token("error", "illegal-character", i, i + 1))
-                i += 1
-        elif c == "%":
-            m = _DIGITS_RE.match(text, i + 1)
-            if m is None or len(m.group()) < 2:
-                j = m.end() if m else i + 1
-                out.append(Token("error", "bad-recycle-digits", i, j))
-                i = j
-            else:
-                out.append(Token("recycle_out", text[i + 1 : i + 3], i, i + 3))
-                i += 3
-        elif "1" <= c <= "9":
-            out.append(Token("recycle_out", c, i, i + 1))
-            i += 1
-        elif c == "_":
-            m = _DIGITS_RE.match(text, i + 1)
-            if m is None:
-                out.append(Token("error", "bad-signal-digits", i, i + 1))
-                i += 1
-            else:
-                out.append(Token("signal_out", m.group(), i, m.end()))
-                i = m.end()
-        elif text.startswith("n|", i):
-            out.append(Token("train_sep", "n|", i, i + 2))
-            i += 2
-        elif c == "&":
-            out.append(Token("conv_connector", c, i, i + 1))
-            i += 1
-        elif c == "|":
-            out.append(Token("conv_close", c, i, i + 1))
-            i += 1
-        else:
-            out.append(Token("error", "illegal-character", i, i + 1))
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        i = m.lastindex
+        kind, code = _TOKEN_KINDS[i]
+        out.append(Token(kind, m[i] if code is None else code, m.start(), m.end()))
     return out
 
 
@@ -259,7 +208,7 @@ class _Machine:
         if not tok.text:
             self.error("empty-node", "node has no name", tok.start, tok.end)
             return False
-        m = _NAME_RE.match(tok.text)
+        m = _NAME_RE.fullmatch(tok.text)
         if m is None:
             self.error("bad-node-name", f"not a unit name: {tok.text!r}", tok.start, tok.end)
             return False
@@ -310,7 +259,7 @@ class _Machine:
         if target is not None and _DIGITS_RE.fullmatch(text) and target.category == "hex":
             target.group = text
             return True
-        if target is not None and _CTRL_RE.match(text) and target.category == "C":
+        if target is not None and CTRL_RE.fullmatch(text) and target.category == "C":
             if target.ctrl is not None:
                 self.error(
                     "unknown-brace",

@@ -76,6 +76,16 @@ class TestEncode:
         p.write_text(json.dumps(doc))
         assert main(["encode", str(p)]) == 3
 
+    @pytest.mark.parametrize("ctrl", ["", "fc", "F}C"])
+    def test_unwritable_ctrl_code_is_invariant_exit(self, tmp_path, ctrl):
+        p = tmp_path / "bad.json"
+        doc = {
+            "nodes": [{"name": "raw-1"}, {"name": "C-1", "ctrl": ctrl}, {"name": "prod-1"}],
+            "edges": [{"src": "raw-1", "dst": "prod-1"}],
+        }
+        p.write_text(json.dumps(doc))
+        assert main(["encode", str(p)]) == 3
+
     def test_legacy_unencodable_is_invariant_exit(self):
         assert main(["encode", "--legacy-converging", fixture_path("absorber")]) == 3
 

@@ -245,6 +245,21 @@ CASES = [
             ("warning", "unknown-brace", "ignoring brace '١'", 21, 24),
         ],
     ),
+    # a name or a control code must match whole: "$" also matches before a final "\n"
+    ("(raw\n)(v)(prod)", [("error", "bad-node-name", "not a unit name: 'raw\\n'", 0, 6)], SAME),
+    (
+        "(raw-1\n)(v)(prod)",
+        [("error", "bad-node-name", "not a unit name: 'raw-1\\n'", 0, 8)],
+        SAME,
+    ),
+    (
+        "(C){FC\n}",
+        [("error", "unknown-brace", "brace 'FC\\n' is not recognized", 3, 8)],
+        [
+            ("warning", "unknown-brace", "ignoring brace 'FC\\n'", 3, 8),
+            ("error", "missing-ctrl-code", "control node is missing its letter code", 0, 3),
+        ],
+    ),
     (
         "(raw)(frob)(prod)",
         [("error", "unknown-category", "category 'frob' is not in the registry", 5, 11)],

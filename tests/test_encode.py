@@ -1,8 +1,11 @@
 """String emission: every guaranteed rendering of the corpus plus limits."""
 
+import random
+
 import pytest
 
 import corpus
+import genflow
 from sfiles2 import EncodeError, FlowsheetGraph, encode, parse_sfiles, roundtrip_check
 
 
@@ -117,6 +120,27 @@ def test_signal_ids_are_plain_numbers():
     s = str(encode(g))
     assert "_10" in s
     assert "%" not in s
+
+
+def test_signal_ids_follow_the_out_marks():
+    # The in-marks come first in the text, in the order <_2 then <_1: signal
+    # ids are numbered along the out-marks, not by first appearance.
+    g = corpus.build(
+        ["raw-1", "hex-1", "v-1", "prod-1", "raw-2", "v-2", "prod-2"]
+        + [("C-1", "FC"), ("C-2", "AC")],
+        [
+            ("raw-1", "hex-1"), ("hex-1", "v-1"), ("v-1", "prod-1"),
+            ("raw-2", "v-2"), ("v-2", "prod-2"),
+            ("C-1", "v-1", {"kind": "signal"}), ("C-2", "v-2", {"kind": "signal"}),
+        ],
+    )
+    want = "(raw)(hex)(v)<_2(prod)n|(raw)(v)<_1(prod)n|(C){AC}_1n|(C){FC}_2"
+    assert str(encode(g)) == want
+    rng = random.Random(3)
+    for _ in range(20):
+        assert str(encode(genflow.renumber_randomly(g, rng))) == want
+    assert roundtrip_check(g).ok
+    assert str(encode(parse_sfiles(want))) == want
 
 
 def test_group_braces_only_for_real_groups():

@@ -40,7 +40,7 @@ class TestNodeRef:
         "bad",
         # numbers take ASCII digits only: \d also matches Arabic-Indic digits
         ["hex", "hex-", "-1", "hex-0", "hex-1/0", "hex-1/2/3", "Hex 1", "", "raw-\u0661",
-         "hex-1/\u0661"],
+         "hex-1/\u0661", "raw-1\n", "hex-1/2\n", "r\u00e9e-1"],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -53,6 +53,8 @@ class TestNodeRef:
             NodeRef("", 1)
         with pytest.raises(ValueError):
             NodeRef("hex", 0)
+        with pytest.raises(ValueError):  # the notation writes ASCII letters only
+            NodeRef("r\u00e9e", 1)
         with pytest.raises(ValueError):
             NodeRef("hex", 1, 0)
 
@@ -96,6 +98,17 @@ class TestGraphConstruction:
             g.add_node("v-1", ctrl="FC")
         g.add_node("C-1", ctrl="FC")
         assert g.ctrl("C-1") == "FC"
+
+    @pytest.mark.parametrize("ctrl", ["", "fc", "F}C", "FC\n", "F1", "\u00c9"])
+    def test_ctrl_is_capital_ascii_letters(self, ctrl):
+        # anything else encodes to a brace the parser cannot read back
+        g = FlowsheetGraph()
+        with pytest.raises(GraphInvariantError):
+            g.add_node("C-1", ctrl=ctrl)
+        assert g.nodes() == []
+        doc = {"nodes": [{"name": "C-1", "ctrl": ctrl}], "edges": []}
+        with pytest.raises(GraphInvariantError):
+            load_json(doc)
 
     def test_plain_and_sub_unit_conflict(self):
         g = FlowsheetGraph()
@@ -328,6 +341,11 @@ class TestJsonCodec:
         g = load_json(doc, strict=False, warnings=warnings)
         assert g.nodes() == ["v-1"]
         assert warnings
+
+    def test_load_rejects_a_name_with_a_final_newline(self):
+        with pytest.raises(SchemaError) as exc:
+            load_json({"nodes": [{"name": "raw-1\n"}], "edges": []})
+        assert exc.value.field == "nodes[0].name"
 
     def test_load_rejects_invariant_breakers(self):
         doc = {

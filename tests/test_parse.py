@@ -59,6 +59,11 @@ class TestTokenizer:
         toks = tokenize("(v)%1x")
         assert any(t.text == "bad-recycle-digits" for t in toks if t.kind == "error")
 
+    def test_tokens_are_named_tuples(self):
+        (tok,) = tokenize("(raw-1)")
+        assert tok == ("node", "raw-1", 0, 7)
+        assert (tok.kind, tok.text, tok.start, tok.end) == tuple(tok)
+
 
 class TestReconstruction:
     @pytest.mark.parametrize("key", [f.key for f in corpus.FIXTURES if f.numbered])
