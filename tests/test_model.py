@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -265,27 +266,39 @@ class TestAdjacencyIndex:
         (_, b), = corpus.fixture("absorber").make().in_edges("prod-1")
         assert a is b
 
+    # Each rejection with its exact exception type and message.  add_edge
+    # checks the kind and tag first, then the source, then the target.
     @pytest.mark.parametrize(
-        "mutate",
+        "mutate, exc, message",
         [
-            lambda g: g.add_edge("splt-1", "v-1"),
-            lambda g: g.add_edge("C-1", "v-1", kind="signal"),
-            lambda g: g.add_edge("v-1", "raw-1"),
-            lambda g: g.add_edge("prod-1", "v-1"),
-            lambda g: g.add_edge("v-1", "v-1"),
-            lambda g: g.add_edge("v-1", "v-9"),
-            lambda g: g.add_edge("v-1", "v-2", kind="pipe"),
-            lambda g: g.add_node("hex-1"),
-            lambda g: g.add_node("hex-2/3"),
-            lambda g: g.add_node("hex-1/2"),
+            (lambda g: g.add_edge("splt-1", "v-1"), GraphInvariantError,
+             "duplicate material edge splt-1 -> v-1"),
+            (lambda g: g.add_edge("C-1", "v-1", kind="signal"), GraphInvariantError,
+             "duplicate signal edge C-1 -> v-1"),
+            (lambda g: g.add_edge("v-1", "raw-1"), GraphInvariantError,
+             "material edge into raw node raw-1"),
+            (lambda g: g.add_edge("prod-1", "v-1"), GraphInvariantError,
+             "material edge out of prod node prod-1"),
+            (lambda g: g.add_edge("v-1", "v-1"), GraphInvariantError, "self loop on v-1"),
+            (lambda g: g.add_edge("v-1", "v-9"), GraphInvariantError, "unknown node: v-9"),
+            (lambda g: g.add_edge("v-8", "v-9"), GraphInvariantError, "unknown node: v-8"),
+            (lambda g: g.add_edge("v-8", "v-8", kind="pipe"), ValueError,
+             "bad edge kind: 'pipe'"),
+            (lambda g: g.add_edge("v-1", "v-2", kind="pipe"), ValueError,
+             "bad edge kind: 'pipe'"),
+            (lambda g: g.add_node("hex-1"), GraphInvariantError,
+             "cannot mix plain and sub-unit forms of hex-1"),
+            (lambda g: g.add_node("hex-2/3"), GraphInvariantError,
+             "cannot mix plain and sub-unit forms of hex-2"),
+            (lambda g: g.add_node("hex-1/2"), GraphInvariantError, "duplicate node: hex-1/2"),
         ],
         ids=[
             "duplicate-material", "duplicate-signal", "into-raw", "out-of-prod",
-            "self-loop", "unknown-node", "bad-kind", "plain-after-sub", "sub-after-plain",
-            "duplicate-sub-unit",
+            "self-loop", "unknown-node", "both-unknown", "bad-kind-before-unknown",
+            "bad-kind", "plain-after-sub", "sub-after-plain", "duplicate-sub-unit",
         ],
     )
-    def test_rejected_mutation_leaves_the_graph_unchanged(self, mutate):
+    def test_rejected_mutation_leaves_the_graph_unchanged(self, mutate, exc, message):
         g = corpus.build(
             ["raw-1", "splt-1", "v-1", "v-2", "hex-1/2", "hex-1/1", "hex-2", "prod-1",
              ("C-1", "FC")],
@@ -296,8 +309,9 @@ class TestAdjacencyIndex:
             ],
         )
         before = (save_json(g), g.equipment_groups(), {n: g.in_edges(n) for n in g.nodes()})
-        with pytest.raises((GraphInvariantError, ValueError)):
+        with pytest.raises(exc, match=f"^{re.escape(message)}$") as info:
             mutate(g)
+        assert type(info.value) is exc
         assert (save_json(g), g.equipment_groups(), {n: g.in_edges(n) for n in g.nodes()}) == before
 
 
