@@ -5,21 +5,32 @@ string, the numbered string and the legacy numbered string (or the
 ``EncodeError`` text), separated by tabs.  The inputs are the corpus and
 400 seeded genflow plants, each followed by a renumbered copy.  A line
 may change only with a demonstration that the old string was not
-canonical.  To rewrite the file after such a change, run
+canonical.
+
+``golden_decodes.txt`` pins what ``parse`` makes of every string in
+``golden_encodings.txt`` and of every ``corpus.MALFORMED`` string: one
+line per input, holding the strict and the lenient digest.  A digest
+covers the graph's compact ``save_json`` document (or its absence), its
+node and edge order, and each diagnostic's level, code, message and span.
+
+To rewrite both files after a demonstrated change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import sys
 from pathlib import Path
 
 import corpus
 import genflow
-from sfiles2 import EncodeError, encode
+from sfiles2 import EncodeError, encode, parse, save_json
 
 GOLDEN = Path(__file__).with_name("golden_encodings.txt")
+DECODES = Path(__file__).with_name("golden_decodes.txt")
 
 
 def _graphs():
@@ -47,6 +58,42 @@ def test_encodings_match_the_golden_file():
     assert len(got) == len(want)
 
 
+def _decode_inputs():
+    for line in GOLDEN.read_text(encoding="utf-8").splitlines():
+        yield from (t for t in line.split("\t") if not t.startswith("EncodeError: "))
+    yield from (text for _key, text, _code in corpus.MALFORMED)
+
+
+def _digest(text: str, strict: bool) -> str:
+    graph, diags = parse(text, strict=strict)
+    h = hashlib.sha256()
+    if graph is None:
+        h.update(b"no graph")
+    else:
+        doc = json.loads(save_json(graph))
+        h.update(json.dumps(doc, separators=(",", ":")).encode("utf-8"))
+        order = (graph.nodes(), [(s, d, a.kind, a.tag) for s, d, a in graph.edges()])
+        h.update(repr(order).encode("utf-8"))
+    for d in diags.entries:
+        h.update(repr((d.level, d.code, d.message, d.start, d.end)).encode("utf-8"))
+    return h.hexdigest()[:16]
+
+
+def _decode_line(text: str) -> str:
+    return f"{_digest(text, True)} {_digest(text, False)}"
+
+
+def test_decodes_match_the_golden_file():
+    want = DECODES.read_text(encoding="utf-8").splitlines()
+    got = [_decode_line(text) for text in _decode_inputs()]
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a == b, f"first difference at input {i}"
+    assert len(got) == len(want)
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).parent))
     GOLDEN.write_text("".join(_line(g) + "\n" for g in _graphs()), encoding="utf-8")
+    DECODES.write_text(
+        "".join(_decode_line(text) + "\n" for text in _decode_inputs()), encoding="utf-8"
+    )
