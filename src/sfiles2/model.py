@@ -163,14 +163,17 @@ class FlowsheetGraph:
     def add_edge(self, src: str, dst: str, kind: str = MATERIAL, tag: str | None = None) -> None:
         # A pair missing from the table is invalid, and EdgeAttr says why.
         attr = _EDGE_ATTRS.get((kind, tag)) or EdgeAttr(kind, tag)
-        for name in (src, dst):
-            if name not in self._nodes:
-                raise GraphInvariantError(f"unknown node: {name}")
+        source = self._nodes.get(src)
+        if source is None:
+            raise GraphInvariantError(f"unknown node: {src}")
+        target = self._nodes.get(dst)
+        if target is None:
+            raise GraphInvariantError(f"unknown node: {dst}")
         if src == dst:
             raise GraphInvariantError(f"self loop on {src}")
-        source, target = self._nodes[src], self._nodes[dst]
-        if any(d == dst and a.kind == kind for d, a in source.out):
-            raise GraphInvariantError(f"duplicate {kind} edge {src} -> {dst}")
+        for d, a in source.out:  # O(out-degree)
+            if d == dst and a.kind == kind:
+                raise GraphInvariantError(f"duplicate {kind} edge {src} -> {dst}")
         if kind == MATERIAL:
             if target.ref.category == "raw":
                 raise GraphInvariantError(f"material edge into raw node {dst}")

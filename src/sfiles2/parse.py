@@ -116,7 +116,6 @@ _ERROR_MESSAGES = {
 
 @dataclass(slots=True)
 class _Occ:
-    idx: int
     category: str
     number: int | None
     sub: int | None
@@ -124,16 +123,6 @@ class _Occ:
     end: int
     ctrl: str | None = None
     group: str | None = None
-
-
-@dataclass
-class _PEdge:
-    src: int
-    dst: int
-    kind: str
-    tag: str | None
-    start: int
-    end: int
 
 
 @dataclass
@@ -146,15 +135,13 @@ class _Frame:
     await_node: bool = False
 
 
-# Mark kind -> the edge a matched pair of marks makes.
-_MARK_EDGE = {"recycle": MATERIAL, "signal": SIGNAL}
-
-# What a mark says when its id is already open on the same side.
-_MARK_CLASH = {
-    ("recycle", "in"): "already has a target",
-    ("recycle", "out"): "already has a source",
-    ("signal", "in"): "already has its in side",
-    ("signal", "out"): "already has its out side",
+# Mark token kind -> (mark kind, side, the edge a matched pair makes, what
+# a mark says when its id is already open on the same side).
+_MARKS = {
+    "recycle_in": ("recycle", "in", MATERIAL, "already has a target"),
+    "recycle_out": ("recycle", "out", MATERIAL, "already has a source"),
+    "signal_in": ("signal", "in", SIGNAL, "already has its in side"),
+    "signal_out": ("signal", "out", SIGNAL, "already has its out side"),
 }
 
 
@@ -162,8 +149,9 @@ class _Machine:
     def __init__(self, strict: bool, diags: ParseDiagnostics):
         self.strict = strict
         self.diags = diags
-        self.occs: list[_Occ] = []
-        self.edges: list[_PEdge] = []
+        self.occs: list[_Occ] = []  # an occurrence's id is its index here
+        # each edge as (src, dst, kind, tag, start, end), ends by occurrence id
+        self.edges: list[tuple[int, int, str, str | None, int, int]] = []
         self.frames: list[_Frame] = []
         self.current: int | None = None
         # pending column tag waiting for its edge: (tag, start, end)
@@ -205,47 +193,42 @@ class _Machine:
         return False
 
     def on_node(self, tok: Token) -> bool:
-        if not tok.text:
-            self.error("empty-node", "node has no name", tok.start, tok.end)
+        _kind, text, start, end = tok
+        if not text:
+            self.error("empty-node", "node has no name", start, end)
             return False
-        m = _NAME_RE.fullmatch(tok.text)
+        m = _NAME_RE.fullmatch(text)
         if m is None:
-            self.error("bad-node-name", f"not a unit name: {tok.text!r}", tok.start, tok.end)
+            self.error("bad-node-name", f"not a unit name: {text!r}", start, end)
             return False
         category, number, sub = m.groups()
-        occ = _Occ(
-            idx=len(self.occs),
-            category=category,
-            number=int(number) if number else None,
-            sub=int(sub) if sub else None,
-            start=tok.start,
-            end=tok.end,
+        idx = len(self.occs)
+        self.occs.append(
+            _Occ(category, int(number) if number else None, int(sub) if sub else None, start, end)
         )
-        self.occs.append(occ)
-        frame = self.frames[-1] if self.frames else None
-        if frame is not None and frame.kind == "legacy":
+        frames = self.frames
+        if frames and frames[-1].kind == "legacy":
+            frame = frames[-1]
             if not frame.await_node:
                 self.error(
                     "malformed-legacy",
                     "nodes in a legacy converging branch must follow a < mark",
-                    tok.start,
-                    tok.end,
+                    start,
+                    end,
                 )
                 return False
             if not self.no_tag("cannot mark a legacy branch"):
                 return False
             frame.await_node = False
-            self.edges.append(
-                _PEdge(occ.idx, frame.chain_target, MATERIAL, None, tok.start, tok.end)
-            )
-            frame.chain_target = occ.idx
+            self.edges.append((idx, frame.chain_target, MATERIAL, None, start, end))
+            frame.chain_target = idx
         elif self.current is not None:
-            self.edges.append(
-                _PEdge(self.current, occ.idx, MATERIAL, self.take_tag(), tok.start, tok.end)
-            )
+            pending = self.pending  # the waiting column tag goes to this edge
+            self.pending = None
+            self.edges.append((self.current, idx, MATERIAL, pending and pending[0], start, end))
         elif not self.no_tag():
             return False
-        self.current = self.attach = occ.idx
+        self.current = self.attach = idx
         return True
 
     def on_brace(self, tok: Token) -> bool:
@@ -344,7 +327,7 @@ class _Machine:
             return False
         conv.seen_connector = True
         self.edges.append(
-            _PEdge(self.current, conv.owner, MATERIAL, self.take_tag(), tok.start, tok.end)
+            (self.current, conv.owner, MATERIAL, self.take_tag(), tok.start, tok.end)
         )
         return True
 
@@ -377,8 +360,9 @@ class _Machine:
         self.current = frame.owner
         return True
 
-    def on_mark(self, tok: Token, kind: str, side: str) -> bool:
+    def on_mark(self, tok: Token) -> bool:
         """One recycle or signal mark; the second mark of an id makes the edge."""
+        kind, side, edge_kind, clash = _MARKS[tok.kind]
         tag = None
         if kind == "signal":
             if not self.no_tag("cannot mark a signal", code="tag-on-signal"):
@@ -398,15 +382,14 @@ class _Machine:
             return True
         other, occ, open_tag, _s, _e = open_
         if other == side:
-            message = f"{kind} {key[1]} {_MARK_CLASH[kind, side]}"
-            self.error(f"dangling-{kind}", message, tok.start, tok.end)
+            self.error(f"dangling-{kind}", f"{kind} {key[1]} {clash}", tok.start, tok.end)
             return False
         del self.marks[key]
         if side == "out":
             src, dst = self.current, occ
         else:
             src, dst, tag = occ, self.current, open_tag
-        self.edges.append(_PEdge(src, dst, _MARK_EDGE[kind], tag, tok.start, tok.end))
+        self.edges.append((src, dst, edge_kind, tag, tok.start, tok.end))
         return True
 
     def on_legacy_back(self, tok: Token) -> bool:
@@ -443,23 +426,23 @@ class _Machine:
             self.error(f"dangling-{kind}", f"{kind} {mid} is never matched", s, e)
 
 
+# Token kind -> its handler; branch_open looks one token ahead instead.
+_HANDLERS = {
+    "error": _Machine.on_error,
+    "node": _Machine.on_node,
+    "brace": _Machine.on_brace,
+    "branch_close": _Machine.on_branch_close,
+    "conv_open": _Machine.on_conv_open,
+    "conv_connector": _Machine.on_connector,
+    "conv_close": _Machine.on_conv_close,
+    **dict.fromkeys(_MARKS, _Machine.on_mark),
+    "legacy_back": _Machine.on_legacy_back,
+    "train_sep": _Machine.on_train_sep,
+}
+
+
 def _run_machine(tokens: list[Token], strict: bool, diags: ParseDiagnostics) -> _Machine:
     m = _Machine(strict, diags)
-    handlers = {
-        "error": m.on_error,
-        "node": m.on_node,
-        "brace": m.on_brace,
-        "branch_close": m.on_branch_close,
-        "conv_open": m.on_conv_open,
-        "conv_connector": m.on_connector,
-        "conv_close": m.on_conv_close,
-        "recycle_in": lambda tok: m.on_mark(tok, "recycle", "in"),
-        "recycle_out": lambda tok: m.on_mark(tok, "recycle", "out"),
-        "signal_in": lambda tok: m.on_mark(tok, "signal", "in"),
-        "signal_out": lambda tok: m.on_mark(tok, "signal", "out"),
-        "legacy_back": m.on_legacy_back,
-        "train_sep": m.on_train_sep,
-    }
     i = 0
     n = len(tokens)
     while i < n:
@@ -470,7 +453,7 @@ def _run_machine(tokens: list[Token], strict: bool, diags: ParseDiagnostics) -> 
         if kind == "branch_open":
             ok = m.on_branch_open(tok, i + 1 < n and tokens[i + 1].kind == "legacy_back")
         else:
-            ok = handlers[kind](tok)
+            ok = _HANDLERS[kind](m, tok)
         if not ok:
             # first error per train: skip ahead to the next separator,
             # unless the failing token was itself the separator
@@ -487,6 +470,9 @@ def _run_machine(tokens: list[Token], strict: bool, diags: ParseDiagnostics) -> 
 
 def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGraph | None:
     occs = m.occs
+    failed = False
+    numbered = 0
+    groups: dict[str, list[_Occ]] = {}
     for occ in occs:
         if occ.category not in REGISTRY:
             diags.add(
@@ -498,7 +484,9 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
                 occ.start,
                 occ.end,
             )
-            if not strict:
+            if strict:
+                failed = True
+            else:
                 occ.category = "X"
                 occ.number = None
                 occ.sub = None
@@ -510,13 +498,14 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
                 occ.start,
                 occ.end,
             )
-    if diags.errors():
-        return None
-
-    groups: dict[str, list[_Occ]] = {}
-    for occ in occs:
+            failed = True
+        if occ.number is not None:
+            numbered += 1
         if occ.group is not None:
             groups.setdefault(occ.group, []).append(occ)
+    if failed:
+        return None
+
     for label in [l for l, members in groups.items() if len(members) == 1]:
         occ = groups.pop(label)[0]
         diags.add(
@@ -529,7 +518,7 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
         occ.group = None
 
     refs = None
-    if occs and all(occ.number is not None for occ in occs):
+    if occs and numbered == len(occs):
         refs = _explicit_refs(occs, groups)
         if refs is None:
             diags.add(
@@ -539,7 +528,7 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
                 occs[0].start,
                 occs[0].end,
             )
-    elif any(occ.number is not None for occ in occs):
+    elif numbered:
         diags.add(
             "warning",
             "mixed-numbering",
@@ -549,34 +538,36 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
         )
 
     if refs is None:
+        # by first occurrence per category; a group counts as one exchanger
+        refs = []
         counters: dict[str, int] = {}
         group_eq: dict[str, list[int]] = {}
         for occ in occs:
             if occ.group is not None:
-                if occ.group not in group_eq:
+                ge = group_eq.get(occ.group)
+                if ge is None:
                     counters["hex"] = counters.get("hex", 0) + 1
-                    group_eq[occ.group] = [counters["hex"], 0]
-                ge = group_eq[occ.group]
+                    ge = group_eq[occ.group] = [counters["hex"], 0]
                 ge[1] += 1
-                occ.number, occ.sub = ge[0], ge[1]
+                refs.append(NodeRef("hex", ge[0], ge[1]))
             else:
-                counters[occ.category] = counters.get(occ.category, 0) + 1
-                occ.number, occ.sub = counters[occ.category], None
-        refs = [NodeRef(occ.category, occ.number, occ.sub) for occ in occs]
+                number = counters[occ.category] = counters.get(occ.category, 0) + 1
+                refs.append(NodeRef(occ.category, number))
 
     graph = FlowsheetGraph()
+    add_node = graph.add_node
     for occ, ref in zip(occs, refs):
-        graph.add_node(ref, ctrl=occ.ctrl)
+        add_node(ref, occ.ctrl)
     names = graph.nodes()  # in occurrence order
 
-    for edge in m.edges:
+    add_edge = graph.add_edge
+    for src, dst, kind, tag, start, end in m.edges:
         try:
-            graph.add_edge(names[edge.src], names[edge.dst], kind=edge.kind, tag=edge.tag)
+            add_edge(names[src], names[dst], kind, tag)
         except GraphInvariantError as exc:
-            diags.add("error", "graph-invariant", str(exc), edge.start, edge.end)
-    if diags.errors():
-        return None
-    return graph
+            diags.add("error", "graph-invariant", str(exc), start, end)
+            failed = True
+    return None if failed else graph
 
 
 def _explicit_refs(occs: list[_Occ], groups: dict[str, list[_Occ]]) -> list[NodeRef] | None:
@@ -608,12 +599,10 @@ def parse(text: str, strict: bool = True) -> tuple[FlowsheetGraph | None, ParseD
     None whenever any error-level diagnostic was produced.
     """
     diags = ParseDiagnostics()
-    tokens = tokenize(text)
-    m = _run_machine(tokens, strict, diags)
-    if m.failed or diags.errors():
+    m = _run_machine(tokenize(text), strict, diags)
+    if m.failed:  # every machine error sets it
         return None, diags
-    graph = _finalize(m, strict, diags)
-    return graph, diags
+    return _finalize(m, strict, diags), diags
 
 
 def parse_sfiles(text: str, strict: bool = True) -> FlowsheetGraph:
