@@ -156,14 +156,14 @@ def _cmd_check(args) -> int:
     for path in args.paths:
         try:
             graph = _read_graph(path, strict=False)
-        except (SchemaError, GraphInvariantError, OSError) as exc:
+            report = roundtrip_check(graph)  # EncodeError: a graph it cannot write
+        except (SchemaError, GraphInvariantError, EncodeError, OSError) as exc:
             print(f"{path}: FAIL ({exc})")
             failures += 1
             continue
         notes = [
             f"{d.level}[{d.code}] {d.message}" for d in check_graph(graph, strict=False)
         ]
-        report = roundtrip_check(graph)
         for problem in report.problems:
             notes.append(f"error[roundtrip] {problem}")
         bad = not report.ok

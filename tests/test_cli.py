@@ -214,6 +214,20 @@ class TestCheck:
         assert any(": ok" in line for line in out)
         assert any("FAIL" in line for line in out)
 
+    def test_unencodable_graph_fails_and_the_batch_goes_on(self, tmp_path, capsys):
+        # 100 two-way pipe pairs need 100 recycle ids; the notation has 99
+        names = [f"pp-{i}" for i in range(1, 102)]
+        edges = [{"src": a, "dst": b} for a, b in zip(names, names[1:])]
+        edges += [{"src": e["dst"], "dst": e["src"]} for e in edges]
+        p = tmp_path / "overflow.json"
+        p.write_text(json.dumps({"nodes": [{"name": n} for n in names], "edges": edges}))
+        rc = main(["check", str(p), fixture_path("absorber")])
+        assert rc == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{p}: FAIL (more than 99 recycle connections in one string)",
+            f"{fixture_path('absorber')}: ok",
+        ]
+
 
 class TestRegistry:
     def test_json_has_all_rows(self, capsys):
