@@ -1,16 +1,21 @@
-"""Property tests over arbitrary text in the SFILES alphabet.
+"""Property tests over arbitrary text and arbitrary graphs.
 
-Whatever the input, ``parse`` returns instead of raising, every
-diagnostic points inside the input, the graph is missing exactly when an
-error was reported, and the tokens tile the input from its first
-character to its last.
+Whatever the input text in the SFILES alphabet, ``parse`` returns instead
+of raising, every diagnostic points inside the input, the graph is
+missing exactly when an error was reported, and the tokens tile the input
+from its first character to its last.
+
+Whatever graph the model accepts, its numbered string parses back to
+the same graph without a diagnostic.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfiles2 import parse, tokenize
+from sfiles2 import NUMBERED, FlowsheetGraph, GraphInvariantError, NodeRef, encode, parse, tokenize
+from sfiles2.model import COLUMN_TAGS, CTRL_RE, EDGE_KINDS, MATERIAL
+from sfiles2.validate import REGISTRY
 
 # Single characters of the notation, plus whole tokens so that inputs
 # reach the parse machine and the finalize step, not only the lexer.
@@ -47,3 +52,39 @@ def test_parse_reports_in_bounds_and_returns_a_graph_only_without_errors(strict,
     for d in diags.entries:
         assert 0 <= d.start <= d.end <= len(text), d
     assert (graph is None) == bool(diags.errors())
+
+
+@st.composite
+def flowsheets(draw):
+    """Any graph within the model invariants: units of every registry
+    category (exchanger sub-units, C nodes with codes), material edges
+    with or without column tags, and signals, drawn as attempts of which
+    the model keeps those it accepts."""
+    g = FlowsheetGraph()
+    for _ in range(draw(st.integers(1, 16))):
+        category = draw(st.sampled_from(sorted(REGISTRY)))
+        sub = draw(st.none() | st.integers(1, 3)) if category == "hex" else None
+        ctrl = draw(st.from_regex(CTRL_RE, fullmatch=True)) if category == "C" else None
+        try:
+            g.add_node(NodeRef(category, draw(st.integers(1, 4)), sub), ctrl)
+        except GraphInvariantError:
+            pass  # a duplicate, or plain and sub-unit forms of one exchanger
+    names = g.nodes()
+    for _ in range(draw(st.integers(0, 2 * len(names)))):
+        src, dst = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        kind = draw(st.sampled_from(EDGE_KINDS))
+        tag = draw(st.sampled_from((None, *COLUMN_TAGS))) if kind == MATERIAL else None
+        try:
+            g.add_edge(src, dst, kind, tag)
+        except GraphInvariantError:
+            pass  # a self loop, a duplicate, into raw or out of prod
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(flowsheets())
+def test_numbered_string_parses_back_to_the_graph(g):
+    text = str(encode(g, NUMBERED))
+    back, diags = parse(text)
+    assert [(d.code, d.message) for d in diags.entries] == [], text
+    assert back == g, text
