@@ -171,7 +171,7 @@ class FlowsheetGraph:
             raise GraphInvariantError(f"unknown node: {dst}")
         if src == dst:
             raise GraphInvariantError(f"self loop on {src}")
-        for d, a in source.out:  # O(out-degree)
+        for d, a in source.out:
             if d == dst and a.kind == kind:
                 raise GraphInvariantError(f"duplicate {kind} edge {src} -> {dst}")
         if kind == MATERIAL:
