@@ -74,17 +74,36 @@ def test_legacy_cannot_express_branched_feeder():
         encode(g, legacy_converging=True)
 
 
-def test_recycle_id_overflow():
-    # 101 valves in a line with a reverse edge alongside every forward
-    # one: 100 recycles, one past the two digit ceiling.
-    g = FlowsheetGraph()
-    n = 101
-    for i in range(1, n + 1):
+def _two_way_pipes(pairs: int, graph: FlowsheetGraph | None = None) -> FlowsheetGraph:
+    # Pipes in a line with a reverse edge alongside every forward one:
+    # each pair is one recycle.
+    g = graph if graph is not None else FlowsheetGraph()
+    for i in range(1, pairs + 2):
         g.add_node(f"pipe-{i}")
-    for i in range(1, n):
+    for i in range(1, pairs + 1):
         g.add_edge(f"pipe-{i}", f"pipe-{i + 1}")
         g.add_edge(f"pipe-{i + 1}", f"pipe-{i}")
-    with pytest.raises(EncodeError):
+    return g
+
+
+def test_recycle_id_overflow():
+    overflow = "^more than 99 recycle connections in one string$"
+    g = _two_way_pipes(99)
+    assert "%99" in str(encode(g)) and "%99" in str(encode(g, mode="numbered"))
+    assert roundtrip_check(g).ok
+    g = _two_way_pipes(100)  # one past the two digit ceiling
+    for mode in ("generalized", "numbered"):
+        with pytest.raises(EncodeError, match=overflow):
+            encode(g, mode=mode)
+    with pytest.raises(EncodeError, match=overflow):
+        roundtrip_check(g)
+    # The absorber's tagged converging branch cannot be written in the
+    # legacy notation; that is reported even though the pipes, written
+    # first, also overflow the recycle ids.
+    g = _two_way_pipes(100, corpus.fixture("absorber").make())
+    with pytest.raises(EncodeError, match="^legacy converging notation cannot express stream tags$"):
+        encode(g, legacy_converging=True)
+    with pytest.raises(EncodeError, match=overflow):
         encode(g)
 
 
