@@ -21,10 +21,6 @@ from .model import COLUMN_TAGS, EDGE_KINDS, MATERIAL, SIGNAL, FlowsheetGraph
 # before draws, bottoms feed first, top draw before bottoms draw.
 # Untagged edges sort before tagged ones.
 TAG_RANK = {None: -1, "bin": 0, "tin": 1, "tout": 2, "bout": 3}
-# An edge's (tag rank, kind rank) in those descriptors: signals carry no
-# tag and sort after material edges.
-_EDGE_RANK = {(MATERIAL, tag): (rank, 0) for tag, rank in TAG_RANK.items()}
-_EDGE_RANK[SIGNAL, None] = (-1, 1)
 
 _CATEGORY_PRIO = {"C": 0, "prod": 1, "raw": 2}
 
@@ -97,8 +93,8 @@ def _morgan(ix: _Index, comp: list[int]) -> MorganState:
     """
     nbrs: dict[int, list[int]] = {i: [] for i in comp}
     for i in comp:
-        for j, attr in ix.out[i]:
-            if attr.kind == MATERIAL and j in nbrs:
+        for j, _tag in ix.mat_out[i]:
+            if j in nbrs:
                 nbrs[i].append(j)
                 nbrs[j].append(i)
 
@@ -112,9 +108,9 @@ def _morgan(ix: _Index, comp: list[int]) -> MorganState:
         run = list(run)
         runs.append((len(run), [[where[nbrs[i][k]] for i in run] for k in range(degree)]))
 
+    # Every value starts at 1, so round 1 gives each node its neighbor count.
     value = [1] * len(comp)
-    best = len(set(value))
-    peak, peak_iteration = value, 0
+    best, peak, peak_iteration = 1, value, 0
     stagnant = 0
     for it in range(1, 2 * len(comp) + 1):
         if best == len(comp):
@@ -122,8 +118,8 @@ def _morgan(ix: _Index, comp: list[int]) -> MorganState:
         get = value.__getitem__
         value = []
         for size, columns in runs:
-            if not columns:
-                value += [0] * size
+            if it == 1 or not columns:
+                value += [len(columns)] * size
                 continue
             total = map(get, columns[0])
             for column in columns[1:]:
@@ -143,27 +139,38 @@ def _morgan(ix: _Index, comp: list[int]) -> MorganState:
 class _Index:
     """One integer snapshot of a graph, read by ranking and emission alike.
 
-    Node ``i`` is the ``i``-th name of ``graph.nodes()``.  ``out`` and
-    ``inc`` hold ``(j, EdgeAttr)`` pairs for every edge, material and
-    signal alike.  ``partners`` maps each exchanger sub-unit that shares
-    its shell with another to all the shell's members.  ``reach`` and
-    ``colors`` are filled in by ``break_ties`` when it first needs them.
-    The graph is mutable, so a snapshot lives for one encoding only.
+    Node ``i`` is the ``i``-th name of ``graph.nodes()``.  The adjacency
+    is split by edge kind once, each list in edge order: ``mat_out[i]``
+    and ``mat_in[i]`` hold ``(j, tag)`` for every material edge ``i -> j``
+    and ``j -> i``, ``sig_out[i]`` and ``sig_in[i]`` the neighbor ``j``
+    of every signal edge.  ``partners`` maps each exchanger sub-unit that
+    shares its shell with another to all the shell's members.  ``reach``
+    and ``colors`` are filled in by ``break_ties`` when it first needs
+    them.  The graph is mutable, so a snapshot lives for one encoding only.
     """
 
-    __slots__ = ("names", "refs", "ctrl", "out", "inc", "partners", "reach", "colors")
+    __slots__ = (
+        "names", "refs", "ctrl", "mat_out", "mat_in", "sig_out", "sig_in",
+        "partners", "reach", "colors",
+    )
 
     def __init__(self, graph: FlowsheetGraph):
         self.names = names = graph.nodes()
         pos = {name: i for i, name in enumerate(names)}
         self.refs = refs = [graph.node_ref(name) for name in names]
         self.ctrl = [graph.ctrl(name) or "" for name in names]
-        self.out = out = [[] for _ in names]
-        self.inc = inc = [[] for _ in names]
+        self.mat_out = mat_out = [[] for _ in names]
+        self.mat_in = mat_in = [[] for _ in names]
+        self.sig_out = sig_out = [[] for _ in names]
+        self.sig_in = sig_in = [[] for _ in names]
         for src, dst, attr in graph.edges():
             i, j = pos[src], pos[dst]
-            out[i].append((j, attr))
-            inc[j].append((i, attr))
+            if attr.kind == MATERIAL:
+                mat_out[i].append((j, attr.tag))
+                mat_in[j].append((i, attr.tag))
+            else:
+                sig_out[i].append(j)
+                sig_in[j].append(i)
         # Only exchanger sub-units share equipment: other names are unique.
         shells: dict[int, list[int]] = {}
         for i, ref in enumerate(refs):
@@ -175,10 +182,10 @@ class _Index:
 
     def components(self) -> list[list[int]]:
         """Material components as node id lists, in order of their first node."""
-        out, inc = self.out, self.inc
-        seen = [False] * len(out)
+        mat_out, mat_in = self.mat_out, self.mat_in
+        seen = [False] * len(mat_out)
         comps = []
-        for root in range(len(out)):
+        for root in range(len(mat_out)):
             if seen[root]:
                 continue
             seen[root] = True
@@ -187,9 +194,9 @@ class _Index:
             while stack:
                 i = stack.pop()
                 comp.append(i)
-                for edges in (out[i], inc[i]):
-                    for j, attr in edges:
-                        if not seen[j] and attr.kind == MATERIAL:
+                for edges in (mat_out[i], mat_in[i]):
+                    for j, _tag in edges:
+                        if not seen[j]:
                             seen[j] = True
                             stack.append(j)
             comps.append(comp)
@@ -225,10 +232,13 @@ def _refine(ix: _Index) -> list[int]:
     """
     n = len(ix.names)
     # Per node: (code * n, j) for every incident edge and partner j.
-    grp = _DESC_CODE["grp", "", ""] * n
+    code = {key: c * n for key, c in _DESC_CODE.items()}
+    out_sig, in_sig, grp = code["out", SIGNAL, ""], code["in", SIGNAL, ""], code["grp", "", ""]
     inc = [
-        [(_DESC_CODE["out", a.kind, a.tag or ""] * n, j) for j, a in ix.out[i]]
-        + [(_DESC_CODE["in", a.kind, a.tag or ""] * n, j) for j, a in ix.inc[i]]
+        [(code["out", MATERIAL, t or ""], j) for j, t in ix.mat_out[i]]
+        + [(code["in", MATERIAL, t or ""], j) for j, t in ix.mat_in[i]]
+        + [(out_sig, j) for j in ix.sig_out[i]]
+        + [(in_sig, j) for j in ix.sig_in[i]]
         + [(grp, j) for j in ix.partners.get(i, ()) if j != i]
         for i in range(n)
     ]
@@ -304,7 +314,7 @@ def _reach_counts(ix: _Index) -> list[int]:
     component it feeds, so each component's reach is one bitset: its own
     members or-ed with the reach of its successors.
     """
-    succ = [[j for j, attr in edges if attr.kind == MATERIAL] for edges in ix.out]
+    succ = ix.mat_out
     order: dict[int, int] = {}  # DFS number, also the node's bit
     low: dict[int, int] = {}
     comp_of: dict[int, int] = {}
@@ -318,7 +328,7 @@ def _reach_counts(ix: _Index) -> list[int]:
         work = [(root, iter(succ[root]))]
         while work:
             v, edges = work[-1]
-            for w in edges:
+            for w, _tag in edges:
                 if w not in order:
                     order[w] = low[w] = len(order)
                     stack.append(w)
@@ -344,7 +354,7 @@ def _reach_counts(ix: _Index) -> list[int]:
                     if w == v:
                         break
                 for w in popped:
-                    for x in succ[w]:
+                    for x, _tag in succ[w]:
                         if comp_of[x] != scc:
                             bits |= reach[comp_of[x]]
                 reach.append(bits)
@@ -375,8 +385,11 @@ def break_ties(ix: _Index, classes: list[list[int]]) -> list[int]:
             prio = _CATEGORY_PRIO.get(cat, 3)
             # Feeds with longer downstream paths come first.
             reach_key = -ix.reach[i] if cat == "raw" else ix.reach[i] if prio == 3 else 0
-            descs = [(refs[j].category, "out", *_EDGE_RANK[a.kind, a.tag]) for j, a in ix.out[i]]
-            descs += [(refs[j].category, "in", *_EDGE_RANK[a.kind, a.tag]) for j, a in ix.inc[i]]
+            descs = [(refs[j].category, "out", TAG_RANK[t], 0) for j, t in ix.mat_out[i]]
+            descs += [(refs[j].category, "in", TAG_RANK[t], 0) for j, t in ix.mat_in[i]]
+            # Signals carry no tag and sort after material edges.
+            descs += [(refs[j].category, "out", -1, 1) for j in ix.sig_out[i]]
+            descs += [(refs[j].category, "in", -1, 1) for j in ix.sig_in[i]]
             key[i] = (prio, reach_key, (cat, ctrl[i], sorted(descs)))
         members = sorted(key, key=key.__getitem__)
         if any(key[a] == key[b] for a, b in zip(members, members[1:])):

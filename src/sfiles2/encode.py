@@ -8,10 +8,11 @@ Emission runs in two passes.  ``traverse`` plans a DFS forest over the
 ranked components: tree edges become the written chain, back and repeated
 edges become numbered recycle pairs, and the first edge from a new tree
 into already written material becomes that tree's converging insertion
-point.  ``emit`` then walks the finished plan into a token list,
-assigning recycle and equipment-group identifiers by first textual
-appearance and signal identifiers in the order of their out-marks
-(``_n``), and renders it in one mode.
+point.  ``emit`` then walks the finished plan once, writing each mark as
+text when it reaches it: recycle and equipment-group identifiers count
+up by first textual appearance and signal identifiers in the order of
+their out-marks (``_n``).  Nodes stay ids until the walk's parts are
+joined, once per mode.
 
 ``_ranked`` finishes the ranking that ``canon`` computes per
 component: equally sized components are ordered by their own strings,
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .canon import RankTable, _Index, rank_components
 from .errors import EncodeError
-from .model import MATERIAL, SIGNAL, FlowsheetGraph
+from .model import FlowsheetGraph
 
 GENERALIZED = "generalized"
 NUMBERED = "numbered"
@@ -42,7 +43,7 @@ class SfilesString(str):
         return s
 
 
-@dataclass
+@dataclass(slots=True)
 class _Tree:
     index: int
     root: int
@@ -51,36 +52,20 @@ class _Tree:
     anchor: tuple[int, int, str | None] | None = None
 
 
+# Mark kinds; a mark's key indexes ``EmissionPlan.recycles`` or ``signals``.
+_REC_IN, _REC_OUT, _SIG_OUT, _SIG_IN = "rec_in", "rec_out", "sig_out", "sig_in"
+
+
 @dataclass
 class EmissionPlan:
     dfs_forest: list[_Tree]
     trains: list[int]
     insertions: dict[int, list[int]]
     recycles: list[tuple[int, int, str | None]]
-    rec_in: dict[int, list[int]]
-    rec_out: dict[int, list[int]]
-    sig_out: dict[int, list[tuple[int, int]]]
-    sig_in: dict[int, list[tuple[int, int]]]
+    signals: list[tuple[int, int]]
+    # Per node, its (kind, key) recycle and signal marks in text order.
+    marks: dict[int, list[tuple[str, int]]]
     group_of: dict[int, tuple[str, int]]
-    recycle_ids: dict[int, int] = field(default_factory=dict)
-    signal_ids: dict[tuple[int, int], int] = field(default_factory=dict)
-    hex_group_ids: dict[tuple[str, int], int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class _Mark:
-    kind: str  # rec_in, rec_out, sig_out, sig_in, group
-    key: object
-
-
-def _material(edges) -> bool:
-    return any(attr.kind == MATERIAL for _j, attr in edges)
-
-
-def _sorted_out(ix: _Index, node: int, pos: dict[int, int]):
-    out = [(dst, attr.tag) for dst, attr in ix.out[node] if attr.kind == MATERIAL]
-    out.sort(key=lambda e: pos[e[0]])
-    return out
 
 
 def _roots(ix: _Index, comp: list[int], pos: dict[int, int], tree_of: dict[int, int]):
@@ -92,18 +77,22 @@ def _roots(ix: _Index, comp: list[int], pos: dict[int, int], tree_of: dict[int, 
     unplanted material predecessor, if it has one.
     """
     for node in comp:
-        if not _material(ix.inc[node]):
+        if not ix.mat_in[node]:
             yield node
     while unvisited := [n for n in comp if n not in tree_of]:
-        w = next((n for n in unvisited if _material(ix.out[n])), unvisited[0])
-        preds = [src for src, attr in ix.inc[w] if attr.kind == MATERIAL and src not in tree_of]
+        w = next((n for n in unvisited if ix.mat_out[n]), unvisited[0])
+        preds = [src for src, _tag in ix.mat_in[w] if src not in tree_of]
         yield min(preds, key=pos.__getitem__, default=w)
 
 
 def _grow_tree(ix, tree, pos, tree_of, recycles):
+    def outlets(node):
+        out = ix.mat_out[node]
+        return iter(sorted(out, key=lambda e: pos[e[0]]) if len(out) > 1 else out)
+
     tree_of[tree.root] = tree.index
     on_stack = {tree.root}
-    stack = [(tree.root, iter(_sorted_out(ix, tree.root, pos)))]
+    stack = [(tree.root, outlets(tree.root))]
     while stack:
         node, edges = stack[-1]
         step = next(edges, None)
@@ -115,7 +104,7 @@ def _grow_tree(ix, tree, pos, tree_of, recycles):
         if dst not in tree_of:
             tree_of[dst] = tree.index
             tree.children.setdefault(node, []).append((dst, tag))
-            stack.append((dst, iter(_sorted_out(ix, dst, pos))))
+            stack.append((dst, outlets(dst)))
             on_stack.add(dst)
         elif dst in on_stack:
             recycles.append((node, dst, tag))
@@ -145,57 +134,31 @@ def traverse(ix: _Index, components: list[list[int]]) -> EmissionPlan:
             else:
                 insertions.setdefault(tree.anchor[1], []).append(tree.index)
 
-    rec_in: dict[int, list[int]] = {}
-    rec_out: dict[int, list[int]] = {}
-    for i, (src, dst, _tag) in enumerate(recycles):
-        rec_out.setdefault(src, []).append(i)
-        rec_in.setdefault(dst, []).append(i)
-    for items in rec_in.values():
-        items.sort(key=lambda i: pos[recycles[i][0]])
-    for items in rec_out.values():
-        items.sort(key=lambda i: pos[recycles[i][1]])
-
-    sig_out: dict[int, list[tuple[int, int]]] = {}
-    sig_in: dict[int, list[tuple[int, int]]] = {}
-    group_of: dict[int, tuple[str, int]] = {}
-    for src in pos:
-        for dst, attr in ix.out[src]:
-            if attr.kind == SIGNAL and dst in pos:
-                sig_out.setdefault(src, []).append((src, dst))
-                sig_in.setdefault(dst, []).append((src, dst))
-        if src in ix.partners:
-            group_of[src] = ix.refs[src].equipment
-    for items in sig_out.values():
-        items.sort(key=lambda e: pos[e[1]])
-    for items in sig_in.values():
-        items.sort(key=lambda e: pos[e[0]])
-
-    return EmissionPlan(
-        dfs_forest=trees,
-        trains=trains,
-        insertions=insertions,
-        recycles=recycles,
-        rec_in=rec_in,
-        rec_out=rec_out,
-        sig_out=sig_out,
-        sig_in=sig_in,
-        group_of=group_of,
-    )
+    # A node's marks: recycle in-marks by source, recycle out-marks by
+    # target, signal out-marks by target, signal in-marks by source.
+    signals = [(src, dst) for src in pos for dst in ix.sig_out[src] if dst in pos]
+    marks: dict[int, list[tuple[str, int]]] = {}
+    for kind, edges, at, by in (
+        (_REC_IN, recycles, 1, 0),
+        (_REC_OUT, recycles, 0, 1),
+        (_SIG_OUT, signals, 0, 1),
+        (_SIG_IN, signals, 1, 0),
+    ):
+        if edges:
+            for k in sorted(range(len(edges)), key=lambda k: pos[edges[k][by]]):
+                marks.setdefault(edges[k][at], []).append((kind, k))
+    group_of = {i: ix.refs[i].equipment for i in pos if i in ix.partners}
+    return EmissionPlan(trees, trains, insertions, recycles, signals, marks, group_of)
 
 
-def _legacy_parts(ix, plan, tree):
+def _legacy_chain(plan: EmissionPlan, tree: _Tree) -> list[int]:
+    """An inserted tree's nodes in legacy text order, feed end first."""
     # The v1 notation writes a converging branch as a reversed chain, so
     # the inserted tree must be a plain pipe of nodes feeding at its end.
     chain = []
     node = tree.root
     while True:
-        if (
-            plan.rec_in.get(node)
-            or plan.rec_out.get(node)
-            or plan.sig_out.get(node)
-            or plan.sig_in.get(node)
-            or plan.insertions.get(node)
-        ):
+        if node in plan.marks or node in plan.insertions:
             raise EncodeError(
                 "legacy converging notation cannot express marks inside an inserted branch"
             )
@@ -214,64 +177,7 @@ def _legacy_parts(ix, plan, tree):
         raise EncodeError("legacy converging notation cannot express stream tags")
     if src != chain[-1]:
         raise EncodeError("legacy converging notation requires the feed at the end of the branch")
-    parts: list[object] = ["["]
-    for n in reversed(chain):
-        parts.append("<")
-        parts.append(n)
-        if ix.ctrl[n]:
-            parts.append("{%s}" % ix.ctrl[n])
-        if n in plan.group_of:
-            parts.append(_Mark("group", plan.group_of[n]))
-    parts.append("]")
-    return parts
-
-
-def _walk_node(ix, plan, tree, node, parts, legacy):
-    # Depth first over an explicit stack, so chains of any length fit:
-    # an entry is a (tree, node) pair still to write or a finished part.
-    stack: list[object] = [(tree, node)]
-    while stack:
-        item = stack.pop()
-        if type(item) is not tuple:
-            parts.append(item)
-            continue
-        tree, node = item
-        parts.append(node)
-        if ix.ctrl[node]:
-            parts.append("{%s}" % ix.ctrl[node])
-        if node in plan.group_of:
-            parts.append(_Mark("group", plan.group_of[node]))
-        for ri in plan.rec_in.get(node, ()):
-            parts.append(_Mark("rec_in", ri))
-        for ri in plan.rec_out.get(node, ()):
-            parts.append(_Mark("rec_out", ri))
-        for e in plan.sig_out.get(node, ()):
-            parts.append(_Mark("sig_out", e))
-        for e in plan.sig_in.get(node, ()):
-            parts.append(_Mark("sig_in", e))
-        if tree.anchor is not None and tree.anchor[0] == node:
-            tag = tree.anchor[2]
-            if tag:
-                parts.append("{%s}" % tag)
-            parts.append("&")
-        todo: list[object] = []
-        for ins in plan.insertions.get(node, ()):
-            sub = plan.dfs_forest[ins]
-            if legacy:
-                todo.extend(_legacy_parts(ix, plan, sub))
-            else:
-                todo += ["<&|", (sub, sub.root), "|"]
-        kids = tree.children.get(node, [])
-        for i, (child, tag) in enumerate(kids):
-            last = i == len(kids) - 1
-            if not last:
-                todo.append("[")
-            if tag:
-                todo.append("{%s}" % tag)
-            todo.append((tree, child))
-            if not last:
-                todo.append("]")
-        stack.extend(reversed(todo))
+    return chain[::-1]
 
 
 def _digits(i: int) -> str:
@@ -280,69 +186,100 @@ def _digits(i: int) -> str:
     return "%%%02d" % i
 
 
-def _assign_ids(plan: EmissionPlan, parts: list[object]) -> None:
-    plan.recycle_ids.clear()
-    plan.signal_ids.clear()
-    plan.hex_group_ids.clear()
-    next_rec = 1
-    next_grp = 1
-    for p in parts:
-        if not isinstance(p, _Mark):
-            continue
-        if p.kind in ("rec_in", "rec_out") and p.key not in plan.recycle_ids:
-            if next_rec > 99:
-                raise EncodeError("more than 99 recycle connections in one string")
-            plan.recycle_ids[p.key] = next_rec
-            next_rec += 1
-        elif p.kind == "group" and p.key not in plan.hex_group_ids:
-            plan.hex_group_ids[p.key] = next_grp
-            next_grp += 1
-    next_sig = 1
-    for p in parts:
-        if isinstance(p, _Mark) and p.kind == "sig_out" and p.key not in plan.signal_ids:
-            plan.signal_ids[p.key] = next_sig
-            next_sig += 1
+def _write(ix: _Index, plan: EmissionPlan, legacy: bool = False) -> list[object]:
+    """The plan's text in order: a node is its id, anything else a finished string.
 
-
-def _render_part(ix, plan, p, mode):
-    if isinstance(p, str):
-        return p
-    if isinstance(p, int):
-        return "(%s)" % (ix.refs[p].category if mode == GENERALIZED else ix.names[p])
-    if p.kind == "rec_in":
-        return "<" + _digits(plan.recycle_ids[p.key])
-    if p.kind == "rec_out":
-        tag = plan.recycles[p.key][2]
-        prefix = "{%s}" % tag if tag else ""
-        return prefix + _digits(plan.recycle_ids[p.key])
-    if p.kind == "sig_out":
-        return "_%d" % plan.signal_ids[p.key]
-    if p.kind == "sig_in":
-        return "<_%d" % plan.signal_ids[p.key]
-    if p.kind == "group":
-        return "{%d}" % plan.hex_group_ids[p.key]
-    raise AssertionError(f"unrenderable part: {p!r}")
-
-
-def _parts(ix: _Index, plan: EmissionPlan, legacy: bool = False) -> list[object]:
-    """The plan's token list in text order, with identifiers assigned.
-
-    A node is its id; a string is written as it is.
+    Recycle and equipment-group ids are numbered by first appearance, so
+    the walk numbers them as it writes them.  Signal ids follow the
+    out-marks; an in-mark written before its out-mark is filled in at
+    the end.
     """
+    ctrl, group_of, marks, recycles = ix.ctrl, plan.group_of, plan.marks, plan.recycles
     parts: list[object] = []
-    for i, ti in enumerate(plan.trains):
-        if i:
-            parts.append("n|")
+    rec_ids: dict[int, int] = {}
+    sig_ids: dict[int, int] = {}
+    group_ids: dict[tuple[str, int], int] = {}
+    waiting: list[tuple[int, int]] = []  # (part position, signal) of early in-marks
+
+    def write_node(node: int) -> None:
+        parts.append(node)
+        if ctrl[node]:
+            parts.append("{%s}" % ctrl[node])
+        if node in group_of:
+            parts.append("{%d}" % group_ids.setdefault(group_of[node], len(group_ids) + 1))
+
+    # Depth first over an explicit stack, so chains of any length fit:
+    # an entry is a (tree, node) pair still to write or a finished string.
+    stack: list[object] = []
+    for ti in reversed(plan.trains):
         tree = plan.dfs_forest[ti]
-        _walk_node(ix, plan, tree, tree.root, parts, legacy)
-    _assign_ids(plan, parts)
+        stack += ["n|", (tree, tree.root)]
+    del stack[:1]  # no separator after the last train
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        tree, node = item
+        write_node(node)
+        for kind, k in marks.get(node, ()):
+            if kind == _REC_IN or kind == _REC_OUT:
+                rid = _digits(rec_ids.setdefault(k, len(rec_ids) + 1))
+                tag = recycles[k][2]
+                if kind == _REC_IN:
+                    parts.append("<" + rid)
+                else:
+                    parts.append("{%s}%s" % (tag, rid) if tag else rid)
+            elif kind == _SIG_OUT:
+                sig_ids[k] = len(sig_ids) + 1
+                parts.append("_%d" % sig_ids[k])
+            elif k in sig_ids:
+                parts.append("<_%d" % sig_ids[k])
+            else:
+                waiting.append((len(parts), k))
+                parts.append("")
+        if tree.anchor is not None and tree.anchor[0] == node:
+            tag = tree.anchor[2]
+            parts.append("{%s}&" % tag if tag else "&")
+        # What follows the node is inserted trees, every child but the
+        # last as a bracketed branch, then the last child: push it in
+        # reverse.  A legacy inserted branch is written at once.
+        for n, (child, tag) in enumerate(reversed(tree.children.get(node, ()))):
+            if n:
+                stack.append("]")
+            stack.append((tree, child))
+            if tag:
+                stack.append("{%s}" % tag)
+            if n:
+                stack.append("[")
+        inserted = plan.insertions.get(node)
+        if inserted and legacy:
+            for ins in inserted:
+                parts.append("[")
+                for n in _legacy_chain(plan, plan.dfs_forest[ins]):
+                    parts.append("<")
+                    write_node(n)
+                parts.append("]")
+        elif inserted:
+            for ins in reversed(inserted):
+                sub = plan.dfs_forest[ins]
+                stack += ["|", (sub, sub.root), "<&|"]
+    if len(rec_ids) > 99:
+        raise EncodeError("more than 99 recycle connections in one string")
+    for at, k in waiting:
+        parts[at] = "<_%d" % sig_ids[k]
     return parts
 
 
+def _render(ix: _Index, parts: list[object], mode: str) -> str:
+    label = ix.names.__getitem__ if mode == NUMBERED else lambda i: ix.refs[i].category
+    return "".join([p if type(p) is str else "(%s)" % label(p) for p in parts])
+
+
 def _render_both(ix: _Index, plan: EmissionPlan) -> tuple[str, str]:
-    """The generalized and the numbered string of one plan, from one part list."""
-    parts = _parts(ix, plan)
-    return tuple("".join(_render_part(ix, plan, p, mode) for p in parts) for mode in MODES)
+    """The generalized and the numbered string of one plan, from one walk."""
+    parts = _write(ix, plan)
+    return tuple(_render(ix, parts, mode) for mode in MODES)
 
 
 def emit(
@@ -351,8 +288,7 @@ def emit(
     mode: str = GENERALIZED,
     legacy_converging: bool = False,
 ) -> str:
-    parts = _parts(ix, plan, legacy_converging)
-    return "".join(_render_part(ix, plan, p, mode) for p in parts)
+    return _render(ix, _write(ix, plan, legacy_converging), mode)
 
 
 def encode(

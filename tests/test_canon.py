@@ -2,6 +2,7 @@
 
 import importlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -233,6 +234,36 @@ class TestAgainstReference:
             ix = _Index(g)
             got = [[ix.names[i] for i in order] for order in rank_components(ix)]
             assert got == canon_oracle.rank_components(g)
+
+
+class TestSnapshot:
+    """``_Index`` holds every edge once at each end, under its kind, with its tag."""
+
+    @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+    def test_edges_split_by_kind(self, family):
+        graphs = ORACLE_FAMILIES[family]()
+        rng = random.Random(17)
+        for g in graphs + [genflow.renumber_randomly(g, rng) for g in graphs]:
+            ix = _Index(g)
+            name = ix.names
+            ends = Counter()
+            for i, edges in enumerate(ix.mat_out):
+                ends.update(("out", name[i], name[j], "material", tag) for j, tag in edges)
+            for i, edges in enumerate(ix.mat_in):
+                ends.update(("in", name[j], name[i], "material", tag) for j, tag in edges)
+            for i, peers in enumerate(ix.sig_out):
+                ends.update(("out", name[i], name[j], "signal", None) for j in peers)
+            for i, peers in enumerate(ix.sig_in):
+                ends.update(("in", name[j], name[i], "signal", None) for j in peers)
+            edges = g.edges()
+            assert ends == Counter(
+                (end, src, dst, attr.kind, attr.tag) for src, dst, attr in edges for end in ("out", "in")
+            )
+            assert set(ends.values()) <= {1}
+            # Out-lists keep the graph's edge order, which planning relies on.
+            assert [(name[i], name[j]) for i, out in enumerate(ix.mat_out) for j, _tag in out] == [
+                (src, dst) for src, dst, attr in edges if attr.kind == "material"
+            ]
 
 
 def _count_calls(monkeypatch, module, name) -> list[int]:
