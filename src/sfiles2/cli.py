@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("check", help="validate graph files and their round trips")
-    p.add_argument("paths", nargs="*", help="graph JSON files")
+    p.add_argument("paths", nargs="+", help="graph JSON files")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("registry", help="print the unit operation table")

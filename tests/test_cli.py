@@ -228,6 +228,15 @@ class TestCheck:
             f"{fixture_path('absorber')}: ok",
         ]
 
+    def test_no_paths_is_a_usage_error(self, capsys):
+        # An empty file list must not pass silently, as with encode and decode.
+        with pytest.raises(SystemExit) as exc:
+            main(["check"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the following arguments are required: paths" in captured.err
+
 
 class TestRegistry:
     def test_json_has_all_rows(self, capsys):
