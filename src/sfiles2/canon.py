@@ -12,8 +12,8 @@ equal size are ordered by their strings, next to the string code in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from operator import add
+from itertools import count, groupby
+from operator import add, itemgetter
 
 from .model import COLUMN_TAGS, EDGE_KINDS, MATERIAL, SIGNAL, FlowsheetGraph
 
@@ -75,82 +75,84 @@ def morgan_iterate(graph: FlowsheetGraph, nodes: list[str] | None = None) -> Mor
     """
     ix = _Index(graph)
     wanted = set(ix.names if nodes is None else nodes)
-    state = _morgan(ix, [i for i, name in enumerate(ix.names) if name in wanted])
-    state.value = {ix.names[i]: v for i, v in state.value.items()}
-    return state
+    keep = [name in wanted for name in ix.names]
+    ix.nbrs = [[j for j in nbrs if keep[j]] for nbrs in ix.nbrs]
+    perm, peak, best, iteration = _morgan(ix, [i for i in range(len(keep)) if keep[i]])
+    return MorganState(dict(zip(map(ix.names.__getitem__, perm), peak)), best, iteration)
 
 
-def _morgan(ix: _Index, comp: list[int]) -> MorganState:
+def _morgan(ix: _Index, comp: list[int]) -> tuple[list[int], list[int], int, int]:
     """Refine node values by summing neighbor values over material edges.
 
     Values start at 1.  Each iteration replaces a node's value with the
     sum over its incident material edges of the neighbor's value, so a
     parallel edge pair counts its neighbor twice.  Iteration stops once
     the number of distinct values has not improved for
-    ``_STAGNATION_WINDOW`` rounds (or after 2*len(comp) rounds), and the
-    returned state, keyed by node id, is the snapshot of the first
-    iteration that reached the best discrimination.
+    ``_STAGNATION_WINDOW`` rounds (or after 2*len(comp) rounds).  Returns
+    ``comp`` reordered, the values of the first iteration that reached
+    the best discrimination in that order, the number of distinct values
+    and the iteration.  Every neighbor of a node in ``comp`` must be in it.
     """
-    nbrs: dict[int, list[int]] = {i: [] for i in comp}
-    for i in comp:
-        for j, _tag in ix.mat_out[i]:
-            if j in nbrs:
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-
+    nbrs = ix.nbrs
     # Values are kept in order of neighbor count, and each run of nodes
-    # with k neighbors sums its neighbors column by column, so a round
-    # loops in C rather than once per node in Python.
+    # with k neighbors gathers its neighbors' values column by column, so
+    # a round loops in C rather than once per node in Python.
     perm = sorted(comp, key=lambda i: len(nbrs[i]))
+    if not comp or len(nbrs[perm[0]]) == len(nbrs[perm[-1]]):
+        # A regular component: every round gives every node one value.
+        return perm, [1] * len(comp), 1, 0
     where = {i: p for p, i in enumerate(perm)}
     runs = []
     for degree, run in groupby(perm, key=lambda i: len(nbrs[i])):
         run = list(run)
-        runs.append((len(run), [[where[nbrs[i][k]] for i in run] for k in range(degree)]))
+        # A column of one unit gathers a slice, so it too yields a
+        # sequence.  Units with no neighbor come first and hold 0 from
+        # round 1 on, so their one column gathers their own values.
+        columns = [[where[nbrs[i][k]] for i in run] for k in range(degree)] or [range(len(run))]
+        runs.append(
+            [itemgetter(*c) if len(c) > 1 else itemgetter(slice(c[0], c[0] + 1)) for c in columns]
+        )
 
     # Every value starts at 1, so round 1 gives each node its neighbor count.
-    value = [1] * len(comp)
-    best, peak, peak_iteration = 1, value, 0
+    value = [len(nbrs[i]) for i in perm]
+    best, peak, peak_iteration = 1, [1] * len(comp), 0
     stagnant = 0
     for it in range(1, 2 * len(comp) + 1):
-        if best == len(comp):
-            break  # fully discriminated, nothing left to refine
-        get = value.__getitem__
-        value = []
-        for size, columns in runs:
-            if it == 1 or not columns:
-                value += [len(columns)] * size
-                continue
-            total = map(get, columns[0])
-            for column in columns[1:]:
-                total = list(map(add, total, map(get, column)))
-            value += total
         distinct = len(set(value))
         if distinct > best:
             best, peak, peak_iteration = distinct, value, it
             stagnant = 0
+            if best == len(comp):
+                break  # fully discriminated, nothing left to refine
         else:
             stagnant += 1
             if stagnant >= _STAGNATION_WINDOW:
                 break
-    return MorganState({i: peak[where[i]] for i in comp}, best, peak_iteration)
+        last, value = value, []  # the next round
+        for columns in runs:
+            total = columns[0](last)
+            for column in columns[1:]:
+                total = map(add, total, column(last))
+            value += total
+    return perm, peak, best, peak_iteration
 
 
 class _Index:
     """One integer snapshot of a graph, read by ranking and emission alike.
 
-    Node ``i`` is the ``i``-th name of ``graph.nodes()``.  The adjacency
-    is split by edge kind once, each list in edge order: ``mat_out[i]``
-    and ``mat_in[i]`` hold ``(j, tag)`` for every material edge ``i -> j``
-    and ``j -> i``, ``sig_out[i]`` and ``sig_in[i]`` the neighbor ``j``
-    of every signal edge.  ``partners`` maps each exchanger sub-unit that
+    Node ``i`` is the ``i``-th name of ``graph.nodes()``, of category
+    ``cats[i]``.  The adjacency is split by edge kind once, each list in
+    edge order: ``mat_out[i]`` and ``mat_in[i]`` hold ``(j, tag)`` for
+    every material edge ``i -> j`` and ``j -> i``, ``nbrs[i]`` the ``j``
+    of both, and ``sig_out[i]`` and ``sig_in[i]`` the neighbor ``j`` of
+    every signal edge.  ``partners`` maps each exchanger sub-unit that
     shares its shell with another to all the shell's members.  ``reach``
     and ``colors`` are filled in by ``break_ties`` when it first needs
     them.  The graph is mutable, so a snapshot lives for one encoding only.
     """
 
     __slots__ = (
-        "names", "refs", "ctrl", "mat_out", "mat_in", "sig_out", "sig_in",
+        "names", "refs", "cats", "ctrl", "mat_out", "mat_in", "nbrs", "sig_out", "sig_in",
         "partners", "reach", "colors",
     )
 
@@ -158,9 +160,11 @@ class _Index:
         self.names = names = graph.nodes()
         pos = {name: i for i, name in enumerate(names)}
         self.refs = refs = [graph.node_ref(name) for name in names]
+        self.cats = [ref.category for ref in refs]
         self.ctrl = [graph.ctrl(name) or "" for name in names]
         self.mat_out = mat_out = [[] for _ in names]
         self.mat_in = mat_in = [[] for _ in names]
+        self.nbrs = nbrs = [[] for _ in names]
         self.sig_out = sig_out = [[] for _ in names]
         self.sig_in = sig_in = [[] for _ in names]
         for src, dst, attr in graph.edges():
@@ -168,6 +172,8 @@ class _Index:
             if attr.kind == MATERIAL:
                 mat_out[i].append((j, attr.tag))
                 mat_in[j].append((i, attr.tag))
+                nbrs[i].append(j)
+                nbrs[j].append(i)
             else:
                 sig_out[i].append(j)
                 sig_in[j].append(i)
@@ -182,10 +188,10 @@ class _Index:
 
     def components(self) -> list[list[int]]:
         """Material components as node id lists, in order of their first node."""
-        mat_out, mat_in = self.mat_out, self.mat_in
-        seen = [False] * len(mat_out)
+        nbrs = self.nbrs
+        seen = [False] * len(nbrs)
         comps = []
-        for root in range(len(mat_out)):
+        for root in range(len(nbrs)):
             if seen[root]:
                 continue
             seen[root] = True
@@ -194,11 +200,10 @@ class _Index:
             while stack:
                 i = stack.pop()
                 comp.append(i)
-                for edges in (mat_out[i], mat_in[i]):
-                    for j, _tag in edges:
-                        if not seen[j]:
-                            seen[j] = True
-                            stack.append(j)
+                for j in nbrs[i]:
+                    if not seen[j]:
+                        seen[j] = True
+                        stack.append(j)
             comps.append(comp)
         return comps
 
@@ -234,9 +239,10 @@ def _refine(ix: _Index) -> list[int]:
     # Per node: (code * n, j) for every incident edge and partner j.
     code = {key: c * n for key, c in _DESC_CODE.items()}
     out_sig, in_sig, grp = code["out", SIGNAL, ""], code["in", SIGNAL, ""], code["grp", "", ""]
+    out_mat, in_mat = ({t: code[d, MATERIAL, t or ""] for t in TAG_RANK} for d in ("out", "in"))
     inc = [
-        [(code["out", MATERIAL, t or ""], j) for j, t in ix.mat_out[i]]
-        + [(code["in", MATERIAL, t or ""], j) for j, t in ix.mat_in[i]]
+        [(out_mat[t], j) for j, t in ix.mat_out[i]]
+        + [(in_mat[t], j) for j, t in ix.mat_in[i]]
         + [(out_sig, j) for j in ix.sig_out[i]]
         + [(in_sig, j) for j in ix.sig_in[i]]
         + [(grp, j) for j in ix.partners.get(i, ()) if j != i]
@@ -315,27 +321,29 @@ def _reach_counts(ix: _Index) -> list[int]:
     members or-ed with the reach of its successors.
     """
     succ = ix.mat_out
-    order: dict[int, int] = {}  # DFS number, also the node's bit
-    low: dict[int, int] = {}
-    comp_of: dict[int, int] = {}
+    n = len(succ)
+    order = [-1] * n  # DFS number, also the node's bit
+    low = [0] * n
+    comp_of = [-1] * n
     reach: list[int] = []
     stack: list[int] = []
-    for root in range(len(succ)):
-        if root in order:
+    number = count()
+    for root in range(n):
+        if order[root] >= 0:
             continue
-        order[root] = low[root] = len(order)
+        order[root] = low[root] = next(number)
         stack.append(root)
         work = [(root, iter(succ[root]))]
         while work:
             v, edges = work[-1]
             for w, _tag in edges:
-                if w not in order:
-                    order[w] = low[w] = len(order)
+                if order[w] < 0:
+                    order[w] = low[w] = next(number)
                     stack.append(w)
                     work.append((w, iter(succ[w])))
                     break
-                if w not in comp_of:  # still on the stack
-                    low[v] = min(low[v], order[w])
+                if comp_of[w] < 0 and order[w] < low[v]:  # still on the stack
+                    low[v] = order[w]
             else:
                 work.pop()
                 if work:
@@ -358,7 +366,7 @@ def _reach_counts(ix: _Index) -> list[int]:
                         if comp_of[x] != scc:
                             bits |= reach[comp_of[x]]
                 reach.append(bits)
-    return [reach[comp_of[i]].bit_count() - 1 for i in range(len(succ))]
+    return [reach[c].bit_count() - 1 for c in comp_of]
 
 
 def break_ties(ix: _Index, classes: list[list[int]]) -> list[int]:
@@ -368,28 +376,30 @@ def break_ties(ix: _Index, classes: list[list[int]]) -> list[int]:
     descriptor); the descriptor is the node's category and control code
     and the sorted (neighbor category, direction, tag rank, kind) of
     every incident edge.  Only where two of those keys are equal do
-    refined colors and then equipment numbers decide.  Reach counts and
-    colors are computed on first need, once per ranking.
+    refined colors and then equipment numbers decide.  Reach enters the
+    key of a tied ``raw`` unit or a tied unit outside ``C``, ``prod`` and
+    ``raw`` only, so reach counts are computed when the first such unit
+    is keyed, and colors on the first equal keys, each once per ranking.
     """
-    refs, ctrl = ix.refs, ix.ctrl
+    refs, cats, ctrl = ix.refs, ix.cats, ix.ctrl
     order: list[int] = []
     for cls in classes:
         if len(cls) == 1:
             order += cls
             continue
-        if ix.reach is None:
-            ix.reach = _reach_counts(ix)
         key = {}
         for i in cls:
-            cat = refs[i].category
+            cat = cats[i]
             prio = _CATEGORY_PRIO.get(cat, 3)
+            if prio >= 2 and ix.reach is None:
+                ix.reach = _reach_counts(ix)
             # Feeds with longer downstream paths come first.
-            reach_key = -ix.reach[i] if cat == "raw" else ix.reach[i] if prio == 3 else 0
-            descs = [(refs[j].category, "out", TAG_RANK[t], 0) for j, t in ix.mat_out[i]]
-            descs += [(refs[j].category, "in", TAG_RANK[t], 0) for j, t in ix.mat_in[i]]
+            reach_key = 0 if prio < 2 else -ix.reach[i] if prio == 2 else ix.reach[i]
+            descs = [(cats[j], "out", TAG_RANK[t], 0) for j, t in ix.mat_out[i]]
+            descs += [(cats[j], "in", TAG_RANK[t], 0) for j, t in ix.mat_in[i]]
             # Signals carry no tag and sort after material edges.
-            descs += [(refs[j].category, "out", -1, 1) for j in ix.sig_out[i]]
-            descs += [(refs[j].category, "in", -1, 1) for j in ix.sig_in[i]]
+            descs += [(cats[j], "out", -1, 1) for j in ix.sig_out[i]]
+            descs += [(cats[j], "in", -1, 1) for j in ix.sig_in[i]]
             key[i] = (prio, reach_key, (cat, ctrl[i], sorted(descs)))
         members = sorted(key, key=key.__getitem__)
         if any(key[a] == key[b] for a, b in zip(members, members[1:])):
@@ -407,4 +417,9 @@ def rank_components(ix: _Index) -> list[list[int]]:
     Components come in the order of their first node in the graph; the
     canonical component order is ``encode``'s job.
     """
-    return [break_ties(ix, _morgan(ix, comp).classes()) for comp in ix.components()]
+    ranked = []
+    for comp in ix.components():
+        perm, peak, _best, _iteration = _morgan(ix, comp)
+        by_value = groupby(sorted(zip(peak, perm)), key=itemgetter(0))
+        ranked.append(break_ties(ix, [[i for _value, i in run] for _value, run in by_value]))
+    return ranked

@@ -272,7 +272,7 @@ def _write(ix: _Index, plan: EmissionPlan, legacy: bool = False) -> list[object]
 
 
 def _render(ix: _Index, parts: list[object], mode: str) -> str:
-    label = ix.names.__getitem__ if mode == NUMBERED else lambda i: ix.refs[i].category
+    label = (ix.names if mode == NUMBERED else ix.cats).__getitem__
     return "".join([p if type(p) is str else "(%s)" % label(p) for p in parts])
 
 
