@@ -192,9 +192,38 @@ def _plants(count: int) -> list[FlowsheetGraph]:
     return plants + [genflow.renumber_randomly(g, random.Random(7)) for g in plants]
 
 
+def _isolated_units() -> list[FlowsheetGraph]:
+    """Graphs holding several units without a material edge: controllers
+    tied to the plant by signals only, and unconnected units."""
+    def signals(*pairs):
+        return [(a, b, {"kind": "signal"}) for a, b in pairs]
+
+    loop = corpus.build(
+        ["raw-1", "v-1", "hex-1", "prod-1", ("C-1", "FC"), ("C-2", "TC"), ("C-3", "PC"), "tank-1"],
+        [("raw-1", "v-1"), ("v-1", "hex-1"), ("hex-1", "prod-1")]
+        + signals(("C-1", "v-1"), ("hex-1", "C-2"), ("C-2", "C-3")),
+    )
+    only_signals = corpus.build(
+        [("C-1", "FC"), ("C-2", "FC"), ("C-3", "LC"), "tank-1", "tank-2"],
+        signals(("C-1", "C-2"), ("C-2", "C-3"), ("C-3", "tank-1")),
+    )
+    graphs = [loop, only_signals]
+    rng = random.Random(23)
+    for seed in range(40):
+        g = genflow.random_flowsheet(random.Random(seed))
+        units = g.nodes()
+        for k in range(1, rng.randint(2, 4) + 1):
+            g.add_node(f"C-{90 + k}", ctrl=rng.choice(["FC", "TC", "LC"]))
+            g.add_edge(f"C-{90 + k}", rng.choice(units), kind="signal")
+        g.add_node("tank-99")
+        graphs.append(g)
+    return graphs
+
+
 ORACLE_FAMILIES = {
     "corpus": lambda: [f.make() for f in corpus.FIXTURES],
     "genflow": lambda: _plants(150),
+    "isolated_units": _isolated_units,
     "chains": lambda: [corpus.chain(n) for n in (0, 1, 2, 5, 50, 201)],
     "trains": lambda: [corpus.trains(k, u) for k in (2, 5, 40) for u in (1, 3)],
     "exchanger_loops": lambda: [corpus.exchanger_loop(n) for n in (4, 8, 16, 64)],
@@ -225,6 +254,17 @@ class TestAgainstReference:
             assert morgan_iterate(g) == canon_oracle.morgan_iterate(g)
             for comp in canon_oracle._components(g):
                 assert morgan_iterate(g, comp) == canon_oracle.morgan_iterate(g, comp)
+
+    @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+    def test_morgan_values_on_node_subsets(self, family):
+        # Every other unit isolates each one, a prefix splits a chain, and
+        # random subsets mix isolated units with connected ones.
+        rng = random.Random(19)
+        for g in ORACLE_FAMILIES[family]():
+            names = g.nodes()
+            picked = rng.sample(names, rng.randint(1, len(names)))
+            for nodes in (names[::2], names[: len(names) // 2 or 1], picked):
+                assert morgan_iterate(g, nodes) == canon_oracle.morgan_iterate(g, nodes)
 
     @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
     def test_rank_order(self, family):
@@ -264,6 +304,11 @@ class TestSnapshot:
             assert [(name[i], name[j]) for i, out in enumerate(ix.mat_out) for j, _tag in out] == [
                 (src, dst) for src, dst, attr in edges if attr.kind == "material"
             ]
+            # The neighbour table holds the far end of every material edge.
+            assert [Counter(nbrs) for nbrs in ix.nbrs] == [
+                Counter(j for j, _tag in out + inc) for out, inc in zip(ix.mat_out, ix.mat_in)
+            ]
+            assert ix.cats == [g.node_ref(n).category for n in name]
 
 
 def _count_calls(monkeypatch, module, name) -> list[int]:
@@ -278,8 +323,28 @@ def _count_calls(monkeypatch, module, name) -> list[int]:
     return calls
 
 
+# The only tied Morgan class holds the two products (the peak is round 4).
+_TIED_PRODUCTS = corpus.build(
+    ["raw-1", "v-1", "hex-1", "splt-1", "prod-1", "prod-2"],
+    [("raw-1", "v-1"), ("v-1", "hex-1"), ("hex-1", "splt-1")]
+    + [("splt-1", n) for n in ("prod-1", "prod-2")],
+)
+# The only tied Morgan class holds the product and both controllers.
+_TIED_CONTROLLERS = corpus.build(
+    ["raw-1", "v-1", "hex-1", "splt-1", ("C-1", "FC"), ("C-2", "FC"), "prod-1"],
+    [("raw-1", "v-1"), ("v-1", "hex-1"), ("hex-1", "splt-1")]
+    + [("splt-1", n) for n in ("C-1", "C-2", "prod-1")],
+)
+# Two feeds, and the product, tie.
+_TIED_FEEDS = corpus.build(
+    ["raw-1", "mix-1", "raw-2", "prod-1"],
+    [("raw-1", "mix-1"), ("raw-2", "mix-1"), ("mix-1", "prod-1")],
+)
+
+
 class TestLazyStages:
-    """Colors are refined only on a structural tie, and once at most."""
+    """Colors are refined only on a structural tie, reach counted only
+    when a tie key reads it, and each once at most."""
 
     @pytest.mark.parametrize(
         "graph, refines",
@@ -295,6 +360,24 @@ class TestLazyStages:
         calls = _count_calls(monkeypatch, canon, "_refine")
         rank_graph(graph)
         assert calls[0] == refines
+
+    @pytest.mark.parametrize(
+        "graph, reaches",
+        [
+            (_TIED_PRODUCTS, 0),
+            (_TIED_CONTROLLERS, 0),
+            (_TIED_FEEDS, 1),
+            (corpus.trains(5, 3), 1),
+            (corpus.exchanger_loop(8), 1),
+        ],
+        ids=["tied_products", "tied_controllers", "tied_feeds", "trains", "exchanger_loop"],
+    )
+    def test_reach_is_counted_only_when_a_tie_reads_it(self, monkeypatch, graph, reaches):
+        # Reach enters the tie key of raw units and of units outside C,
+        # prod and raw only, and is counted once per ranking.
+        calls = _count_calls(monkeypatch, canon, "_reach_counts")
+        rank_graph(graph)
+        assert calls[0] == reaches
 
     @pytest.mark.parametrize(
         "graph, tied",

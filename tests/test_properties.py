@@ -6,14 +6,19 @@ missing exactly when an error was reported, and the tokens tile the input
 from its first character to its last.
 
 Whatever graph the model accepts, its numbered string parses back to
-the same graph without a diagnostic.
+the same graph without a diagnostic, and the ranking stages return what
+the reference copies in ``canon_oracle`` return.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfiles2 import NUMBERED, FlowsheetGraph, GraphInvariantError, NodeRef, encode, parse, tokenize
+import canon_oracle
+from sfiles2 import (
+    NUMBERED, FlowsheetGraph, GraphInvariantError, NodeRef, encode, morgan_iterate, parse, tokenize,
+)
+from sfiles2.canon import _Index, _reach_counts, rank_components
 from sfiles2.model import COLUMN_TAGS, CTRL_RE, EDGE_KINDS, MATERIAL
 from sfiles2.validate import REGISTRY
 
@@ -88,3 +93,16 @@ def test_numbered_string_parses_back_to_the_graph(g):
     back, diags = parse(text)
     assert [(d.code, d.message) for d in diags.entries] == [], text
     assert back == g, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(flowsheets(), st.data())
+def test_ranking_stages_match_the_reference(g, data):
+    ix = _Index(g)
+    names = ix.names
+    ranked = [[names[i] for i in comp] for comp in rank_components(ix)]
+    assert ranked == canon_oracle.rank_components(g)
+    assert _reach_counts(ix) == [canon_oracle._successor_count(g, n) for n in names]
+    assert morgan_iterate(g) == canon_oracle.morgan_iterate(g)
+    nodes = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    assert morgan_iterate(g, nodes) == canon_oracle.morgan_iterate(g, nodes)
