@@ -46,10 +46,10 @@ _DESC_CODE = {
 class MorganState:
     """Snapshot of the refinement at its most discriminating iteration.
 
-    ``value`` maps each node, by name or by snapshot id, to its value.
+    ``value`` maps each node name to its value.
     """
 
-    value: dict
+    value: dict[str, int]
     val_set: int
     iteration: int
 
