@@ -100,7 +100,7 @@ def _morgan(ix: _Index, comp: list[int]) -> tuple[list[int], list[int], int, int
     perm = sorted(comp, key=lambda i: len(nbrs[i]))
     if not comp or len(nbrs[perm[0]]) == len(nbrs[perm[-1]]):
         # A regular component: every round gives every node one value.
-        return perm, [1] * len(comp), 1, 0
+        return perm, [1] * len(comp), min(len(comp), 1), 0
     where = {i: p for p, i in enumerate(perm)}
     runs = []
     for degree, run in groupby(perm, key=lambda i: len(nbrs[i])):
@@ -369,45 +369,58 @@ def _reach_counts(ix: _Index) -> list[int]:
     return [reach[c].bit_count() - 1 for c in comp_of]
 
 
+def _descriptor(ix: _Index, i: int) -> tuple[str, str, list[tuple[str, str, int, int]]]:
+    cats = ix.cats
+    descs = [(cats[j], "out", TAG_RANK[t], 0) for j, t in ix.mat_out[i]]
+    descs += [(cats[j], "in", TAG_RANK[t], 0) for j, t in ix.mat_in[i]]
+    # Signals carry no tag and sort after material edges.
+    descs += [(cats[j], "out", -1, 1) for j in ix.sig_out[i]]
+    descs += [(cats[j], "in", -1, 1) for j in ix.sig_in[i]]
+    return cats[i], ix.ctrl[i], sorted(descs)
+
+
+def _staged(ix: _Index, members: list[int], stage: int = 0) -> list[int]:
+    """``members`` in order of tie-break stage ``stage`` and the stages after it."""
+    if stage == 0:
+        key = [_CATEGORY_PRIO.get(ix.cats[i], 3) for i in members]
+    elif stage == 1:
+        # Feeds with longer downstream paths come first; C and prod have no reach key.
+        prio = _CATEGORY_PRIO.get(ix.cats[members[0]], 3)
+        if prio < 2:
+            return _staged(ix, members, 2)
+        if ix.reach is None:
+            ix.reach = _reach_counts(ix)
+        key = [-ix.reach[i] if prio == 2 else ix.reach[i] for i in members]
+    elif stage == 2:
+        key = [_descriptor(ix, i) for i in members]
+    elif stage == 3:
+        if ix.colors is None:
+            ix.colors = _refine(ix)
+        key = [ix.colors[i] for i in members]
+    else:  # equipment numbers, unique among units of one category and color
+        return sorted(members, key=lambda i: (ix.refs[i].number, ix.refs[i].sub or 0))
+    order: list[int] = []
+    for _key, run in groupby(sorted(zip(key, members)), key=itemgetter(0)):
+        run = [i for _key, i in run]
+        order += _staged(ix, run, stage + 1) if len(run) > 1 else run
+    return order
+
+
 def break_ties(ix: _Index, classes: list[list[int]]) -> list[int]:
     """Flatten Morgan classes into a total order, lowest rank first.
 
-    A class is ordered by each member's (priority, reach key, local
-    descriptor); the descriptor is the node's category and control code
-    and the sorted (neighbor category, direction, tag rank, kind) of
-    every incident edge.  Only where two of those keys are equal do
-    refined colors and then equipment numbers decide.  Reach enters the
-    key of a tied ``raw`` unit or a tied unit outside ``C``, ``prod`` and
-    ``raw`` only, so reach counts are computed when the first such unit
-    is keyed, and colors on the first equal keys, each once per ranking.
+    A class is ordered one stage at a time by priority, reach key, local
+    descriptor, refined color and equipment number, each stage keying
+    only members that tie on every stage before it.  The descriptor is
+    the node's category and control code and the sorted (neighbor
+    category, direction, tag rank, kind) of every incident edge.  So
+    reach is counted only for two tied ``raw`` units or two tied units
+    outside ``C``, ``prod`` and ``raw``, and colors only for two members
+    equal up to their descriptors, each at most once per ranking.
     """
-    refs, cats, ctrl = ix.refs, ix.cats, ix.ctrl
     order: list[int] = []
     for cls in classes:
-        if len(cls) == 1:
-            order += cls
-            continue
-        key = {}
-        for i in cls:
-            cat = cats[i]
-            prio = _CATEGORY_PRIO.get(cat, 3)
-            if prio >= 2 and ix.reach is None:
-                ix.reach = _reach_counts(ix)
-            # Feeds with longer downstream paths come first.
-            reach_key = 0 if prio < 2 else -ix.reach[i] if prio == 2 else ix.reach[i]
-            descs = [(cats[j], "out", TAG_RANK[t], 0) for j, t in ix.mat_out[i]]
-            descs += [(cats[j], "in", TAG_RANK[t], 0) for j, t in ix.mat_in[i]]
-            # Signals carry no tag and sort after material edges.
-            descs += [(cats[j], "out", -1, 1) for j in ix.sig_out[i]]
-            descs += [(cats[j], "in", -1, 1) for j in ix.sig_in[i]]
-            key[i] = (prio, reach_key, (cat, ctrl[i], sorted(descs)))
-        members = sorted(key, key=key.__getitem__)
-        if any(key[a] == key[b] for a, b in zip(members, members[1:])):
-            if ix.colors is None:
-                ix.colors = _refine(ix)
-            colors = ix.colors
-            members.sort(key=lambda i: (key[i], colors[i], refs[i].number, refs[i].sub or 0))
-        order += members
+        order += _staged(ix, cls) if len(cls) > 1 else cls
     return order
 
 

@@ -4,23 +4,22 @@ An encoding reads the graph once, into one ``canon._Index``.  Ranking,
 planning and rendering work on its integer node ids and look a name up
 only to write it into a numbered string.
 
-Emission runs in two passes.  ``traverse`` plans a DFS forest over the
-ranked components: tree edges become the written chain, back and repeated
+Emission runs in two passes.  ``traverse`` plans the DFS forest of one
+ranked component: tree edges become the written chain, back and repeated
 edges become numbered recycle pairs, and the first edge from a new tree
 into already written material becomes that tree's converging insertion
-point.  ``emit`` then walks the finished plan once, writing each mark as
-text when it reaches it: recycle and equipment-group identifiers count
-up by first textual appearance and signal identifiers in the order of
-their out-marks (``_n``).  Nodes stay ids until the walk's parts are
-joined, once per mode.
-
-``_ranked`` finishes the ranking that ``canon`` computes per
-component: equally sized components are ordered by their own strings,
-so that step lives here, beside ``component_string``.
+point.  ``_plans`` plans each component once and orders equally sized
+ones by the strings of their own plans; ``_join`` strings the plans
+together and adds the signal marks, the only marks that can point into
+another component.  ``emit`` walks the joined plan once, writing each
+mark as text when it reaches it: recycle and equipment-group ids count
+up by first textual appearance, signal ids in the order of their
+out-marks (``_n``).  Nodes stay ids until the walk's parts are joined.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .canon import RankTable, _Index, rank_components
@@ -45,30 +44,27 @@ class SfilesString(str):
 
 @dataclass(slots=True)
 class _Tree:
-    index: int
     root: int
     children: dict[int, list[tuple[int, str | None]]] = field(default_factory=dict)
     # (source, merge target, tag) once this tree converges into earlier text
     anchor: tuple[int, int, str | None] | None = None
 
 
-# Mark kinds; a mark's key indexes ``EmissionPlan.recycles`` or ``signals``.
+# Mark kinds.  A mark's key is its edge: (source, target, tag) for a
+# recycle, (source, target) for a signal.
 _REC_IN, _REC_OUT, _SIG_OUT, _SIG_IN = "rec_in", "rec_out", "sig_out", "sig_in"
 
 
 @dataclass
 class EmissionPlan:
-    dfs_forest: list[_Tree]
-    trains: list[int]
-    insertions: dict[int, list[int]]
-    recycles: list[tuple[int, int, str | None]]
-    signals: list[tuple[int, int]]
-    # Per node, its (kind, key) recycle and signal marks in text order.
-    marks: dict[int, list[tuple[str, int]]]
-    group_of: dict[int, tuple[str, int]]
+    nodes: list[int]  # in rank order, components in emission order
+    trains: list[_Tree]
+    insertions: dict[int, list[_Tree]]  # trees converging into a node
+    # Per node, its (kind, edge) recycle and signal marks in text order.
+    marks: dict[int, list[tuple[str, tuple]]]
 
 
-def _roots(ix: _Index, comp: list[int], pos: dict[int, int], tree_of: dict[int, int]):
+def _roots(ix: _Index, comp: list[int], pos: dict[int, int], tree_of: dict[int, _Tree]):
     """One component's tree roots, each yielded once the trees before it are grown.
 
     First every unit without a material inlet, in rank order: no other
@@ -90,7 +86,7 @@ def _grow_tree(ix, tree, pos, tree_of, recycles):
         out = ix.mat_out[node]
         return iter(sorted(out, key=lambda e: pos[e[0]]) if len(out) > 1 else out)
 
-    tree_of[tree.root] = tree.index
+    tree_of[tree.root] = tree
     on_stack = {tree.root}
     stack = [(tree.root, outlets(tree.root))]
     while stack:
@@ -102,53 +98,59 @@ def _grow_tree(ix, tree, pos, tree_of, recycles):
             continue
         dst, tag = step
         if dst not in tree_of:
-            tree_of[dst] = tree.index
+            tree_of[dst] = tree
             tree.children.setdefault(node, []).append((dst, tag))
             stack.append((dst, outlets(dst)))
             on_stack.add(dst)
         elif dst in on_stack:
             recycles.append((node, dst, tag))
-        elif tree_of[dst] != tree.index and tree.anchor is None:
+        elif tree_of[dst] is not tree and tree.anchor is None:
             tree.anchor = (node, dst, tag)
         else:
             recycles.append((node, dst, tag))
 
 
-def traverse(ix: _Index, components: list[list[int]]) -> EmissionPlan:
-    """Plan the DFS forest for ``components``, each a list of node ids in rank order."""
-    # Rank-order position of every planned node (components in order, each
-    # in rank order), for deterministic mark order.
-    pos = {node: p for p, node in enumerate(n for comp in components for n in comp)}
-    trees: list[_Tree] = []
-    trains: list[int] = []
-    insertions: dict[int, list[int]] = {}
-    recycles: list[tuple[int, int, str | None]] = []
-    tree_of: dict[int, int] = {}
-    for comp in components:
-        for root in _roots(ix, comp, pos, tree_of):
-            tree = _Tree(len(trees), root)
-            trees.append(tree)
-            _grow_tree(ix, tree, pos, tree_of, recycles)
-            if tree.anchor is None:
-                trains.append(tree.index)
-            else:
-                insertions.setdefault(tree.anchor[1], []).append(tree.index)
+def traverse(ix: _Index, comp: list[int]) -> EmissionPlan:
+    """Plan the DFS forest of one component, its node ids in rank order.
 
-    # A node's marks: recycle in-marks by source, recycle out-marks by
-    # target, signal out-marks by target, signal in-marks by source.
-    signals = [(src, dst) for src in pos for dst in ix.sig_out[src] if dst in pos]
-    marks: dict[int, list[tuple[str, int]]] = {}
-    for kind, edges, at, by in (
-        (_REC_IN, recycles, 1, 0),
-        (_REC_OUT, recycles, 0, 1),
-        (_SIG_OUT, signals, 0, 1),
-        (_SIG_IN, signals, 1, 0),
-    ):
-        if edges:
-            for k in sorted(range(len(edges)), key=lambda k: pos[edges[k][by]]):
-                marks.setdefault(edges[k][at], []).append((kind, k))
-    group_of = {i: ix.refs[i].equipment for i in pos if i in ix.partners}
-    return EmissionPlan(trees, trains, insertions, recycles, signals, marks, group_of)
+    Positions are local to it.  A node gets its recycle in-marks by
+    source, then out-marks by target; ``_join`` adds the signal marks."""
+    pos = {node: p for p, node in enumerate(comp)}
+    trains: list[_Tree] = []
+    insertions: dict[int, list[_Tree]] = {}
+    recycles: list[tuple[int, int, str | None]] = []
+    tree_of: dict[int, _Tree] = {}
+    for root in _roots(ix, comp, pos, tree_of):
+        tree = _Tree(root)
+        _grow_tree(ix, tree, pos, tree_of, recycles)
+        if tree.anchor is None:
+            trains.append(tree)
+        else:
+            insertions.setdefault(tree.anchor[1], []).append(tree)
+    marks: dict[int, list[tuple[str, tuple]]] = {}
+    _place(marks, pos, recycles, ((_REC_IN, 1, 0), (_REC_OUT, 0, 1)))
+    return EmissionPlan(comp, trains, insertions, marks)
+
+
+def _place(marks, pos, edges, kinds) -> None:
+    """For each (kind, at, by) of ``kinds``, give ``edge[at]`` a (kind, edge)
+    mark per edge, in order of the position of ``edge[by]``."""
+    for kind, at, by in kinds:
+        for edge in sorted(edges, key=lambda e: pos[e[by]]):
+            marks.setdefault(edge[at], []).append((kind, edge))
+
+
+def _join(ix: _Index, plans: list[EmissionPlan]) -> EmissionPlan:
+    """The component plans in the given order as one, with the signal
+    marks between their units added after each unit's recycle marks."""
+    nodes = [node for plan in plans for node in plan.nodes]
+    pos = {node: p for p, node in enumerate(nodes)}
+    signals = [(src, dst) for src in nodes for dst in ix.sig_out[src] if dst in pos]
+    marks = {node: list(m) for plan in plans for node, m in plan.marks.items()}
+    _place(marks, pos, signals, ((_SIG_OUT, 0, 1), (_SIG_IN, 1, 0)))
+    trains = [tree for plan in plans for tree in plan.trains]
+    insertions = {node: trees for plan in plans for node, trees in plan.insertions.items()}
+    return EmissionPlan(nodes, trains, insertions, marks)
 
 
 def _legacy_chain(plan: EmissionPlan, tree: _Tree) -> list[int]:
@@ -194,25 +196,24 @@ def _write(ix: _Index, plan: EmissionPlan, legacy: bool = False) -> list[object]
     out-marks; an in-mark written before its out-mark is filled in at
     the end.
     """
-    ctrl, group_of, marks, recycles = ix.ctrl, plan.group_of, plan.marks, plan.recycles
+    ctrl, refs, partners, marks = ix.ctrl, ix.refs, ix.partners, plan.marks
     parts: list[object] = []
-    rec_ids: dict[int, int] = {}
-    sig_ids: dict[int, int] = {}
+    rec_ids: dict[tuple, int] = {}
+    sig_ids: dict[tuple, int] = {}
     group_ids: dict[tuple[str, int], int] = {}
-    waiting: list[tuple[int, int]] = []  # (part position, signal) of early in-marks
+    waiting: list[tuple[int, tuple]] = []  # (part position, signal) of early in-marks
 
     def write_node(node: int) -> None:
         parts.append(node)
         if ctrl[node]:
             parts.append("{%s}" % ctrl[node])
-        if node in group_of:
-            parts.append("{%d}" % group_ids.setdefault(group_of[node], len(group_ids) + 1))
+        if node in partners:
+            parts.append("{%d}" % group_ids.setdefault(refs[node].equipment, len(group_ids) + 1))
 
     # Depth first over an explicit stack, so chains of any length fit:
     # an entry is a (tree, node) pair still to write or a finished string.
     stack: list[object] = []
-    for ti in reversed(plan.trains):
-        tree = plan.dfs_forest[ti]
+    for tree in reversed(plan.trains):
         stack += ["n|", (tree, tree.root)]
     del stack[:1]  # no separator after the last train
     while stack:
@@ -222,21 +223,21 @@ def _write(ix: _Index, plan: EmissionPlan, legacy: bool = False) -> list[object]
             continue
         tree, node = item
         write_node(node)
-        for kind, k in marks.get(node, ()):
+        for kind, edge in marks.get(node, ()):
             if kind == _REC_IN or kind == _REC_OUT:
-                rid = _digits(rec_ids.setdefault(k, len(rec_ids) + 1))
-                tag = recycles[k][2]
+                rid = _digits(rec_ids.setdefault(edge, len(rec_ids) + 1))
+                tag = edge[2]
                 if kind == _REC_IN:
                     parts.append("<" + rid)
                 else:
                     parts.append("{%s}%s" % (tag, rid) if tag else rid)
             elif kind == _SIG_OUT:
-                sig_ids[k] = len(sig_ids) + 1
-                parts.append("_%d" % sig_ids[k])
-            elif k in sig_ids:
-                parts.append("<_%d" % sig_ids[k])
+                sig_ids[edge] = len(sig_ids) + 1
+                parts.append("_%d" % sig_ids[edge])
+            elif edge in sig_ids:
+                parts.append("<_%d" % sig_ids[edge])
             else:
-                waiting.append((len(parts), k))
+                waiting.append((len(parts), edge))
                 parts.append("")
         if tree.anchor is not None and tree.anchor[0] == node:
             tag = tree.anchor[2]
@@ -254,32 +255,25 @@ def _write(ix: _Index, plan: EmissionPlan, legacy: bool = False) -> list[object]
                 stack.append("[")
         inserted = plan.insertions.get(node)
         if inserted and legacy:
-            for ins in inserted:
+            for sub in inserted:
                 parts.append("[")
-                for n in _legacy_chain(plan, plan.dfs_forest[ins]):
+                for n in _legacy_chain(plan, sub):
                     parts.append("<")
                     write_node(n)
                 parts.append("]")
         elif inserted:
-            for ins in reversed(inserted):
-                sub = plan.dfs_forest[ins]
+            for sub in reversed(inserted):
                 stack += ["|", (sub, sub.root), "<&|"]
     if len(rec_ids) > 99:
         raise EncodeError("more than 99 recycle connections in one string")
-    for at, k in waiting:
-        parts[at] = "<_%d" % sig_ids[k]
+    for at, edge in waiting:
+        parts[at] = "<_%d" % sig_ids[edge]
     return parts
 
 
 def _render(ix: _Index, parts: list[object], mode: str) -> str:
     label = (ix.names if mode == NUMBERED else ix.cats).__getitem__
     return "".join([p if type(p) is str else "(%s)" % label(p) for p in parts])
-
-
-def _render_both(ix: _Index, plan: EmissionPlan) -> tuple[str, str]:
-    """The generalized and the numbered string of one plan, from one walk."""
-    parts = _write(ix, plan)
-    return tuple(_render(ix, parts, mode) for mode in MODES)
 
 
 def emit(
@@ -301,50 +295,43 @@ def encode(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     ix = _Index(graph)
-    plan = traverse(ix, _ranked(ix))
-    return SfilesString(emit(ix, plan, mode, legacy_converging), mode)
+    return SfilesString(emit(ix, _join(ix, _plans(ix)), mode, legacy_converging), mode)
 
 
 def _encode_both(graph: FlowsheetGraph) -> tuple[SfilesString, SfilesString]:
     """The generalized and the numbered string, from one ranking and one plan."""
     ix = _Index(graph)
-    texts = _render_both(ix, traverse(ix, _ranked(ix)))
-    return tuple(SfilesString(text, mode) for text, mode in zip(texts, MODES))
+    parts = _write(ix, _join(ix, _plans(ix)))
+    return tuple(SfilesString(_render(ix, parts, mode), mode) for mode in MODES)
 
 
 def rank_graph(graph: FlowsheetGraph) -> RankTable:
     """Rank every node 1..n within its component and order the components."""
     ix = _Index(graph)
-    order = [[ix.names[i] for i in comp] for comp in _ranked(ix)]
+    order = [[ix.names[i] for i in plan.nodes] for plan in _plans(ix)]
     return RankTable({name: r for comp in order for r, name in enumerate(comp, 1)}, order)
 
 
-def _ranked(ix: _Index) -> list[list[int]]:
-    """Every component's node ids in rank order, components in emission order.
+def _plans(ix: _Index) -> list[EmissionPlan]:
+    """Every component's plan, components in emission order.
 
     Components are emitted largest first.  Equal sizes are ordered by
-    their provisional generalized string, then the numbered string,
-    which names every unit and so differs between any two components.
+    the generalized string of their own plan (without the signals that
+    leave it), and inside a run of equal strings by the numbered string,
+    which names every unit and so tells any two components apart.
     """
-    by_size: dict[int, list[list[int]]] = {}
+    by_size: dict[int, list[EmissionPlan]] = {}
     for comp in rank_components(ix):
-        by_size.setdefault(len(comp), []).append(comp)
+        by_size.setdefault(len(comp), []).append(traverse(ix, comp))
 
-    final: list[list[int]] = []
+    final: list[EmissionPlan] = []
     for size in sorted(by_size, reverse=True):
         group = by_size[size]
         if len(group) > 1:
-            group.sort(key=lambda comp: component_string(ix, comp))
-        final.extend(group)
+            parts = [_write(ix, _join(ix, [plan])) for plan in group]
+            text = [_render(ix, p, GENERALIZED) for p in parts]
+            runs = Counter(text)
+            key = [(t, _render(ix, p, NUMBERED) if runs[t] > 1 else "") for t, p in zip(text, parts)]
+            group = [group[k] for k in sorted(range(len(group)), key=key.__getitem__)]
+        final += group
     return final
-
-
-def component_string(ix: _Index, order: list[int]) -> tuple[str, str]:
-    """Serialize a single ranked component, with identifiers local to it.
-
-    Returns the generalized and the numbered string, rendered from one
-    plan.  Used to order equally sized components; signal edges that
-    leave the component are omitted because the peer component has no
-    rank yet.
-    """
-    return _render_both(ix, traverse(ix, [order]))

@@ -24,6 +24,12 @@ class TestMorgan:
         assert state.value == {"v-1": 1}
         assert state.val_set == 1
 
+    def test_no_units(self):
+        # No unit gives no value, as in the reference copy.
+        state = morgan_iterate(corpus.chain(3), [])
+        assert (state.value, state.val_set, state.iteration) == ({}, 0, 0)
+        assert morgan_iterate(FlowsheetGraph()).val_set == 0
+
     def test_symmetric_chain_keeps_siblings_equal(self):
         g = corpus.build(
             ["raw-1", "mix-1", "raw-2", "prod-1"],
@@ -262,7 +268,7 @@ class TestAgainstReference:
         rng = random.Random(19)
         for g in ORACLE_FAMILIES[family]():
             names = g.nodes()
-            picked = rng.sample(names, rng.randint(1, len(names)))
+            picked = rng.sample(names, rng.randint(0, len(names)))
             for nodes in (names[::2], names[: len(names) // 2 or 1], picked):
                 assert morgan_iterate(g, nodes) == canon_oracle.morgan_iterate(g, nodes)
 
@@ -342,6 +348,21 @@ _TIED_FEEDS = corpus.build(
 )
 
 
+# (graph, components inside runs of equal generalized strings)
+_PLANNED = [
+    (corpus.trains(5, 3), 5),
+    (corpus.trains(2, 1), 2),
+    (corpus.fixture("multistream_exchanger_plant").make(), 0),
+]
+_PLANNED_IDS = ["five_trains", "two_trains", "sizes_differ"]
+# Three components of one size: two equal valve trains and a pump train.
+_MIXED_TRAINS = corpus.build(
+    ["raw-1", "v-1", "prod-1", "raw-2", "pp-1", "prod-2", "raw-3", "v-2", "prod-3"],
+    [("raw-1", "v-1"), ("v-1", "prod-1"), ("raw-2", "pp-1"), ("pp-1", "prod-2")]
+    + [("raw-3", "v-2"), ("v-2", "prod-3")],
+)
+
+
 class TestLazyStages:
     """Colors are refined only on a structural tie, reach counted only
     when a tie key reads it, and each once at most."""
@@ -369,26 +390,54 @@ class TestLazyStages:
             (_TIED_FEEDS, 1),
             (corpus.trains(5, 3), 1),
             (corpus.exchanger_loop(8), 1),
+            (corpus.trains(4, 1), 0),
         ],
-        ids=["tied_products", "tied_controllers", "tied_feeds", "trains", "exchanger_loop"],
+        ids=[
+            "tied_products", "tied_controllers", "tied_feeds", "trains", "exchanger_loop",
+            "one_unit_trains",
+        ],
     )
     def test_reach_is_counted_only_when_a_tie_reads_it(self, monkeypatch, graph, reaches):
         # Reach enters the tie key of raw units and of units outside C,
-        # prod and raw only, and is counted once per ranking.
+        # prod and raw only, once two of them tie on priority, and is
+        # counted once per ranking.  In a raw -> v -> prod train the raw
+        # and prod units share a Morgan class, and priority parts them.
         calls = _count_calls(monkeypatch, canon, "_reach_counts")
         rank_graph(graph)
         assert calls[0] == reaches
 
+    @pytest.mark.parametrize("graph", [g for g, _tied in _PLANNED], ids=_PLANNED_IDS)
+    def test_each_tied_component_is_planned_once(self, monkeypatch, graph):
+        # Every component, tied or not, is planned once per encode, and
+        # nothing plans the whole graph again.
+        planned = []
+        original = encode_module.traverse
+
+        def recorded(ix, comp):
+            planned.append(sorted(ix.names[i] for i in comp))
+            return original(ix, comp)
+
+        monkeypatch.setattr(encode_module, "traverse", recorded)
+        for mode in ("generalized", "numbered"):
+            planned.clear()
+            encode(graph, mode)
+            assert sorted(planned) == sorted(canon_oracle._components(graph))
+
     @pytest.mark.parametrize(
         "graph, tied",
-        [
-            (corpus.trains(5, 3), 5),
-            (corpus.trains(2, 1), 2),
-            (corpus.fixture("multistream_exchanger_plant").make(), 0),
-        ],
-        ids=["five_trains", "two_trains", "sizes_differ"],
+        _PLANNED + [(_MIXED_TRAINS, 2)],
+        ids=_PLANNED_IDS + ["mixed_trains"],
     )
-    def test_each_tied_component_is_planned_once(self, monkeypatch, graph, tied):
-        calls = _count_calls(monkeypatch, encode_module, "component_string")
+    def test_numbered_strings_only_inside_equal_runs(self, monkeypatch, graph, tied):
+        # Ordering equally sized components renders a numbered string
+        # only for those whose generalized strings are equal.
+        renders = []
+        original = encode_module._render
+
+        def recorded(ix, parts, mode):
+            renders.append(mode)
+            return original(ix, parts, mode)
+
+        monkeypatch.setattr(encode_module, "_render", recorded)
         rank_graph(graph)
-        assert calls[0] == tied
+        assert renders.count("numbered") == tied
