@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
@@ -93,6 +94,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--workdir", type=Path, required=True)
     ap.add_argument("-o", "--output", type=Path, required=True)
+    ap.add_argument("--topic", default="", help="what the change does, stored in the output")
     args = ap.parse_args(argv)
 
     sides = {"parent": args.workdir / "parent", "change": args.workdir / "change"}
@@ -112,10 +114,11 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps({"seed": seed, "pair": k + 1, **pair}), flush=True)
 
     doc = {
+        "topic": args.topic,
         "parent": revs["parent"],
         "change": revs["change"],
         "host": f"{platform.system()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
-        "command": "python3 tools/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
+        "command": "python3 tools/bench_pairs.py " + " ".join(map(shlex.quote, argv or sys.argv[1:])),
         "digests": digests,
         "identical_output": digests["parent"] == digests["change"],
         "correct_in_every_run": all(
