@@ -386,11 +386,9 @@ def _staged(ix: _Index, members: list[int], stage: int = 0) -> list[int]:
     elif stage == 1:
         # Feeds with longer downstream paths come first; C and prod have no reach key.
         prio = _CATEGORY_PRIO.get(ix.cats[members[0]], 3)
-        if prio < 2:
-            return _staged(ix, members, 2)
-        if ix.reach is None:
+        if prio >= 2 and ix.reach is None:
             ix.reach = _reach_counts(ix)
-        key = [-ix.reach[i] if prio == 2 else ix.reach[i] for i in members]
+        key = [0 if prio < 2 else -ix.reach[i] if prio == 2 else ix.reach[i] for i in members]
     elif stage == 2:
         key = [_descriptor(ix, i) for i in members]
     elif stage == 3:
@@ -399,6 +397,8 @@ def _staged(ix: _Index, members: list[int], stage: int = 0) -> list[int]:
         key = [ix.colors[i] for i in members]
     else:  # equipment numbers, unique among units of one category and color
         return sorted(members, key=lambda i: (ix.refs[i].number, ix.refs[i].sub or 0))
+    if key.count(key[0]) == len(key):
+        return _staged(ix, members, stage + 1)  # all tie: the next stage decides
     order: list[int] = []
     for _key, run in groupby(sorted(zip(key, members)), key=itemgetter(0)):
         run = [i for _key, i in run]

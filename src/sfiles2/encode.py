@@ -10,11 +10,10 @@ edges become numbered recycle pairs, and the first edge from a new tree
 into already written material becomes that tree's converging insertion
 point.  ``_plans`` plans each component once and orders equally sized
 ones by the strings of their own plans; ``_join`` strings the plans
-together and adds the signal marks, the only marks that can point into
-another component.  ``emit`` walks the joined plan once, writing each
-mark as text when it reaches it: recycle and equipment-group ids count
-up by first textual appearance, signal ids in the order of their
-out-marks (``_n``).  Nodes stay ids until the walk's parts are joined.
+together and places every mark.  ``emit`` walks the joined plan once,
+writing each mark as text when it reaches it: recycle and equipment-group
+ids count up by first textual appearance, signal ids in the order of
+their out-marks (``_n``).  Nodes stay ids until the parts are joined.
 """
 
 from __future__ import annotations
@@ -60,8 +59,9 @@ class EmissionPlan:
     nodes: list[int]  # in rank order, components in emission order
     trains: list[_Tree]
     insertions: dict[int, list[_Tree]]  # trees converging into a node
-    # Per node, its (kind, edge) recycle and signal marks in text order.
-    marks: dict[int, list[tuple[str, tuple]]]
+    recycles: list[tuple[int, int, str | None]]
+    # Per node, its (kind, edge) marks in text order, placed by ``_join``.
+    marks: dict[int, list[tuple[str, tuple]]] | None = None
 
 
 def _roots(ix: _Index, comp: list[int], pos: dict[int, int], tree_of: dict[int, _Tree]):
@@ -111,10 +111,8 @@ def _grow_tree(ix, tree, pos, tree_of, recycles):
 
 
 def traverse(ix: _Index, comp: list[int]) -> EmissionPlan:
-    """Plan the DFS forest of one component, its node ids in rank order.
-
-    Positions are local to it.  A node gets its recycle in-marks by
-    source, then out-marks by target; ``_join`` adds the signal marks."""
+    """Plan the DFS forest of one component, its node ids in rank order,
+    with positions local to it.  ``_join`` places the marks."""
     pos = {node: p for p, node in enumerate(comp)}
     trains: list[_Tree] = []
     insertions: dict[int, list[_Tree]] = {}
@@ -127,30 +125,32 @@ def traverse(ix: _Index, comp: list[int]) -> EmissionPlan:
             trains.append(tree)
         else:
             insertions.setdefault(tree.anchor[1], []).append(tree)
-    marks: dict[int, list[tuple[str, tuple]]] = {}
-    _place(marks, pos, recycles, ((_REC_IN, 1, 0), (_REC_OUT, 0, 1)))
-    return EmissionPlan(comp, trains, insertions, marks)
-
-
-def _place(marks, pos, edges, kinds) -> None:
-    """For each (kind, at, by) of ``kinds``, give ``edge[at]`` a (kind, edge)
-    mark per edge, in order of the position of ``edge[by]``."""
-    for kind, at, by in kinds:
-        for edge in sorted(edges, key=lambda e: pos[e[by]]):
-            marks.setdefault(edge[at], []).append((kind, edge))
+    return EmissionPlan(comp, trains, insertions, recycles)
 
 
 def _join(ix: _Index, plans: list[EmissionPlan]) -> EmissionPlan:
-    """The component plans in the given order as one, with the signal
-    marks between their units added after each unit's recycle marks."""
-    nodes = [node for plan in plans for node in plan.nodes]
-    pos = {node: p for p, node in enumerate(nodes)}
-    signals = [(src, dst) for src in nodes for dst in ix.sig_out[src] if dst in pos]
-    marks = {node: list(m) for plan in plans for node, m in plan.marks.items()}
-    _place(marks, pos, signals, ((_SIG_OUT, 0, 1), (_SIG_IN, 1, 0)))
-    trains = [tree for plan in plans for tree in plan.trains]
-    insertions = {node: trees for plan in plans for node, trees in plan.insertions.items()}
-    return EmissionPlan(nodes, trains, insertions, marks)
+    """The component plans in the given order as one, with every mark placed:
+    a signal can point into another component, so marks wait for the order."""
+    one = plans[0] if len(plans) == 1 else EmissionPlan(
+        [node for plan in plans for node in plan.nodes],
+        [tree for plan in plans for tree in plan.trains],
+        {node: trees for plan in plans for node, trees in plan.insertions.items()},
+        [edge for plan in plans for edge in plan.recycles],
+    )
+    pos = {node: p for p, node in enumerate(one.nodes)}
+    signals = [(src, dst) for src in one.nodes for dst in ix.sig_out[src] if dst in pos]
+    # A node's marks: recycle in-marks by source, recycle out-marks by
+    # target, signal out-marks by target, signal in-marks by source.
+    marks: dict[int, list[tuple[str, tuple]]] = {}
+    for kind, edges, at, by in (
+        (_REC_IN, one.recycles, 1, 0),
+        (_REC_OUT, one.recycles, 0, 1),
+        (_SIG_OUT, signals, 0, 1),
+        (_SIG_IN, signals, 1, 0),
+    ):
+        for edge in sorted(edges, key=lambda e: pos[e[by]]) if edges else ():
+            marks.setdefault(edge[at], []).append((kind, edge))
+    return EmissionPlan(one.nodes, one.trains, one.insertions, one.recycles, marks)
 
 
 def _legacy_chain(plan: EmissionPlan, tree: _Tree) -> list[int]:
