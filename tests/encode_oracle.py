@@ -1,10 +1,10 @@
-"""Emission as first written: every component planned twice.
+"""Emission as it was before component plans were joined.
 
-Verbatim reference copies of the planning and writing code from before
-component plans were joined: ``_ranked`` orders equally sized
-components by ``component_string``, which plans and renders each of
-them on its own, and ``encode`` then plans the whole graph again with
-one ``traverse`` over every component.  The ranking itself comes from
+Verbatim reference copies of the planning and writing code of that
+time: ``_ranked`` orders equally sized components by
+``component_string``, which plans and renders each of them on its own,
+and ``encode`` then plans the whole graph again with one ``traverse``
+over every component.  The ranking itself comes from
 ``sfiles2.canon``, which ``canon_oracle`` checks.  The tests require the
 production encoder to return exactly what ``encode`` here returns.
 """
