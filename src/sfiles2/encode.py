@@ -9,7 +9,7 @@ ranked component: tree edges become the written chain, back and repeated
 edges become numbered recycle pairs, and the first edge from a new tree
 into already written material becomes that tree's converging insertion
 point.  ``_plans`` plans each component once and orders equally sized
-ones by the strings of their own plans; ``_join`` strings the plans
+ones by ``component_string``; ``_join`` strings the plans
 together and places every mark.  ``emit`` walks the joined plan once,
 writing each mark as text when it reaches it: recycle and equipment-group
 ids count up by first textual appearance, signal ids in the order of
@@ -182,12 +182,6 @@ def _legacy_chain(plan: EmissionPlan, tree: _Tree) -> list[int]:
     return chain[::-1]
 
 
-def _digits(i: int) -> str:
-    if i < 10:
-        return str(i)
-    return "%%%02d" % i
-
-
 def _write(ix: _Index, plan: EmissionPlan, legacy: bool = False) -> list[object]:
     """The plan's text in order: a node is its id, anything else a finished string.
 
@@ -225,7 +219,8 @@ def _write(ix: _Index, plan: EmissionPlan, legacy: bool = False) -> list[object]
         write_node(node)
         for kind, edge in marks.get(node, ()):
             if kind == _REC_IN or kind == _REC_OUT:
-                rid = _digits(rec_ids.setdefault(edge, len(rec_ids) + 1))
+                k = rec_ids.setdefault(edge, len(rec_ids) + 1)
+                rid = str(k) if k < 10 else "%%%02d" % k
                 tag = edge[2]
                 if kind == _REC_IN:
                     parts.append("<" + rid)
@@ -277,19 +272,13 @@ def _render(ix: _Index, parts: list[object], mode: str) -> str:
 
 
 def emit(
-    ix: _Index,
-    plan: EmissionPlan,
-    mode: str = GENERALIZED,
-    legacy_converging: bool = False,
+    ix: _Index, plan: EmissionPlan, mode: str = GENERALIZED, legacy_converging: bool = False
 ) -> str:
     return _render(ix, _write(ix, plan, legacy_converging), mode)
 
 
 def encode(
-    graph: FlowsheetGraph,
-    mode: str = GENERALIZED,
-    *,
-    legacy_converging: bool = False,
+    graph: FlowsheetGraph, mode: str = GENERALIZED, *, legacy_converging: bool = False
 ) -> SfilesString:
     """Render the canonical SFILES 2.0 string for a graph."""
     if mode not in MODES:
@@ -308,30 +297,41 @@ def _encode_both(graph: FlowsheetGraph) -> tuple[SfilesString, SfilesString]:
 def rank_graph(graph: FlowsheetGraph) -> RankTable:
     """Rank every node 1..n within its component and order the components."""
     ix = _Index(graph)
-    order = [[ix.names[i] for i in plan.nodes] for plan in _plans(ix)]
+    order = [[ix.names[i] for i in comp] for comp in _plans(ix, nodes_only=True)]
     return RankTable({name: r for comp in order for r, name in enumerate(comp, 1)}, order)
 
 
-def _plans(ix: _Index) -> list[EmissionPlan]:
-    """Every component's plan, components in emission order.
+def _plans(ix: _Index, nodes_only: bool = False) -> list:
+    """Every component's plan, components in emission order; with
+    ``nodes_only``, its node ids in rank order, planned only to be ordered.
 
     Components are emitted largest first.  Equal sizes are ordered by
-    the generalized string of their own plan (without the signals that
-    leave it), and inside a run of equal strings by the numbered string,
-    which names every unit and so tells any two components apart.
+    ``component_string``, and inside a run of equal strings by the
+    numbered string, which names every unit and so tells any two
+    components apart.
     """
-    by_size: dict[int, list[EmissionPlan]] = {}
+    by_size: dict[int, list[list[int]]] = {}
     for comp in rank_components(ix):
-        by_size.setdefault(len(comp), []).append(traverse(ix, comp))
+        by_size.setdefault(len(comp), []).append(comp)
 
-    final: list[EmissionPlan] = []
+    final: list = []
     for size in sorted(by_size, reverse=True):
         group = by_size[size]
         if len(group) > 1:
-            parts = [_write(ix, _join(ix, [plan])) for plan in group]
-            text = [_render(ix, p, GENERALIZED) for p in parts]
-            runs = Counter(text)
-            key = [(t, _render(ix, p, NUMBERED) if runs[t] > 1 else "") for t, p in zip(text, parts)]
-            group = [group[k] for k in sorted(range(len(group)), key=key.__getitem__)]
-        final += group
+            plans = [traverse(ix, comp) for comp in group]
+            keys = [component_string(ix, plan) for plan in plans]
+            runs = Counter(text for text, _parts in keys)
+            key = [(t, _render(ix, p, NUMBERED) if runs[t] > 1 else "") for t, p in keys]
+            chosen = group if nodes_only else plans
+            final += [chosen[k] for k in sorted(range(len(group)), key=key.__getitem__)]
+        else:
+            final.append(group[0] if nodes_only else traverse(ix, group[0]))
     return final
+
+
+def component_string(ix: _Index, plan: EmissionPlan) -> tuple[str, list[object]]:
+    """One component's generalized string, from its own plan, and the
+    parts it was rendered from.  Signal edges that leave the component
+    are omitted: the peer component has no place yet."""
+    parts = _write(ix, _join(ix, [plan]))
+    return _render(ix, parts, GENERALIZED), parts

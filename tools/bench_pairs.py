@@ -52,11 +52,9 @@ def digest(checkout: Path) -> str:
     return out.stdout.strip()
 
 
-def run(checkout: Path, seed: int, seconds: float) -> dict:
+def run(checkout: Path, seed: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed)]
-    out = subprocess.run(
-        argv + ["--seconds", str(seconds)], cwd=checkout, check=True, capture_output=True, text=True
-    )
+    out = subprocess.run(argv, cwd=checkout, check=True, capture_output=True, text=True)
     result = json.loads(out.stdout.strip().splitlines()[-1])
     metrics = {name: m["value"] for name, m in result.pop("metrics").items()}
     return {**result, "metrics": metrics}
@@ -91,7 +89,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("change", nargs="?", default="HEAD")
     ap.add_argument("--seeds", type=int, nargs="+", default=[3])
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--workdir", type=Path, required=True)
     ap.add_argument("-o", "--output", type=Path, required=True)
     ap.add_argument("--topic", default="", help="what the change does, stored in the output")
@@ -109,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             pair = {"first": order[0]}
             for side in order:
-                pair[side] = run(sides[side], seed, args.seconds)
+                pair[side] = run(sides[side], seed)
             runs[str(seed)].append(pair)
             print(json.dumps({"seed": seed, "pair": k + 1, **pair}), flush=True)
 

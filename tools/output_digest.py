@@ -3,9 +3,9 @@
     PYTHONPATH=src python3 tools/output_digest.py
 
 prints one hex digest over, for every input graph: the generalized and
-the numbered string, both again in legacy converging form (or the
-``EncodeError`` text), the ``rank_graph`` table and the
-``roundtrip_check`` report.  The inputs are the corpus fixtures, 400
+the numbered string, both again in legacy converging form, the
+``rank_graph`` table and the ``roundtrip_check`` report, each one or the
+text of the ``EncodeError`` it raised.  The inputs are the corpus fixtures, 400
 seeded genflow plants with a renumbered copy each, and every graph of
 the benchmark's ``plants``, ``scaled`` and ``decode_long`` inputs at
 seed 1.  Two checkouts that print the same digest write the same bytes.
@@ -52,21 +52,31 @@ def graphs():
             yield _build(text.spec)
 
 
+def _field(make) -> str:
+    try:
+        return make()
+    except EncodeError as exc:
+        return f"EncodeError: {exc}"
+
+
+def _table(g: FlowsheetGraph) -> str:
+    table = rank_graph(g)
+    return repr((sorted(table.rank.items()), table.subgraph_order))
+
+
+def _report(g: FlowsheetGraph) -> str:
+    report = roundtrip_check(g)
+    return repr((report.ok, report.problems, report.canonical))
+
+
 def record(g: FlowsheetGraph) -> str:
+    """Six tab-separated fields; a field that raises ``EncodeError`` holds its text."""
     fields = []
     for mode in ("generalized", "numbered"):
-        fields.append(str(encode(g, mode)))
-        try:
-            fields.append(str(encode(g, mode, legacy_converging=True)))
-        except EncodeError as exc:
-            fields.append(f"EncodeError: {exc}")
-    try:
-        table = rank_graph(g)
-        fields.append(repr((sorted(table.rank.items()), table.subgraph_order)))
-        report = roundtrip_check(g)
-        fields.append(repr((report.ok, report.problems, report.canonical)))
-    except EncodeError as exc:
-        fields.append(f"EncodeError: {exc}")
+        fields.append(_field(lambda: str(encode(g, mode))))
+        fields.append(_field(lambda: str(encode(g, mode, legacy_converging=True))))
+    fields.append(_field(lambda: _table(g)))
+    fields.append(_field(lambda: _report(g)))
     return "\t".join(fields) + "\n"
 
 
