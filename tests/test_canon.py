@@ -424,6 +424,19 @@ class TestLazyStages:
             assert sorted(planned) == sorted(canon_oracle._components(graph))
 
     @pytest.mark.parametrize(
+        "graph", [g for g, _tied in _PLANNED] + [_MIXED_TRAINS], ids=_PLANNED_IDS + ["mixed_trains"]
+    )
+    def test_rank_graph_plans_only_components_of_a_shared_size(self, monkeypatch, graph):
+        # Ranking needs a plan only to order equally sized components,
+        # and keys each of them once.
+        sizes = Counter(len(comp) for comp in canon_oracle._components(graph))
+        shared = sum(n for n in sizes.values() if n > 1)
+        planned = _count_calls(monkeypatch, encode_module, "traverse")
+        keyed = _count_calls(monkeypatch, encode_module, "component_string")
+        rank_graph(graph)
+        assert planned[0] == keyed[0] == shared
+
+    @pytest.mark.parametrize(
         "graph, tied",
         _PLANNED + [(_MIXED_TRAINS, 2)],
         ids=_PLANNED_IDS + ["mixed_trains"],
