@@ -378,6 +378,16 @@ MALFORMED: list[tuple[str, str, str]] = [
     ("branch-without-node", "[(raw)]", "branch-without-node"),
 ]
 
+# Whole tokens of the notation, valid and not, for joining into arbitrary
+# strings that reach the parse machine and the finalize step, not only the
+# lexer.  "²" and "١" are digits to str.isdigit but not ASCII digits.
+FRAGMENTS = [
+    "(raw)", "(prod)", "(hex)", "(v)", "(mix)", "(r)", "(C)", "(frob)", "(hex-1/2)",
+    "(raw-1)", "(v-2)", "()", "{tin}", "{bout}", "{1}", "{2}", "{PC}", "{x}", "<&|",
+    "&", "|", "&|", "[", "]", "[<", "<(", "1", "<1", "%12", "<%12", "_1", "<_1",
+    "n|", "(", "{", "<", "²", "١",
+]
+
 
 # Scaled families: long chains, identical trains and symmetric exchanger
 # loops, which stress refinement depth, ties and emission depth.

@@ -89,6 +89,14 @@ class TestEncode:
     def test_legacy_unencodable_is_invariant_exit(self):
         assert main(["encode", "--legacy-converging", fixture_path("absorber")]) == 3
 
+    def test_lenient_prints_a_warning_per_unknown_key(self, tmp_path, capsys):
+        p = tmp_path / "extra.json"
+        p.write_text(json.dumps({"nodes": [{"name": "v-1", "colour": "red"}], "edges": []}))
+        assert main(["encode", "--lenient", str(p)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "(v)\n"
+        assert captured.err == f"warning: {p}: nodes[0]: ignoring unknown keys ['colour']\n"
+
 
 class TestDecode:
     def test_single_decode_prints_canonical_json(self, capsys):
@@ -176,6 +184,34 @@ class TestCanon:
         rc = main(["canon", "--numbered", f.generalized])
         assert rc == 0
         assert capsys.readouterr().out.strip() == f.numbered
+
+    def test_parse_error_exit_and_caret(self, capsys):
+        assert main(["canon", "(raw)["]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error[unclosed-branch]: still open at the end of the input\n"
+            "  (raw)[\n"
+            "       ^\n"
+        )
+
+    def test_lenient_warning_still_succeeds(self, capsys):
+        assert main(["canon", "--lenient", "(raw)(frob)(prod)"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "(raw)(X)(prod)\n"
+        assert captured.err.startswith(
+            "warning[unknown-category]: treating unknown category 'frob' as X\n"
+        )
+        assert captured.err.endswith("       ^^^^^^\n")
+
+    def test_unencodable_graph_is_invariant_exit(self, capsys):
+        text = "(raw)(mix)<&|(raw)&(v)(prod)|(prod)"
+        assert main(["canon", "--legacy-converging", text]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: legacy converging notation requires the feed at the end of the branch\n"
+        )
 
 
 class TestCheck:

@@ -72,6 +72,12 @@ CASES = [
         SAME,
     ),
     ("(a)&(b)", [("error", "stray-connector", "& is only valid inside <&|...|", 3, 4)], SAME),
+    # the search for the connector's frame stops at a legacy frame
+    (
+        "(raw)(mix)<&|(raw)(v)[<(pp)&]|(prod)",
+        [("error", "stray-connector", "& is only valid inside <&|...|", 27, 28)],
+        SAME,
+    ),
     (
         "(a)<&|(b)&(c)&|(d)",
         [
@@ -280,6 +286,23 @@ CASES = [
     ),
     (
         "(raw-1)(v-1)(mix-1)(prod-1)n|(raw-1)(mix-1)",
+        [
+            ("warning", "renumbered",
+             "explicit numbering is inconsistent, assigning fresh numbers", 0, 7),
+        ],
+        SAME,
+    ),
+    # two groups share one exchanger number, or two exchanger numbers one group
+    (
+        "(raw-1)(hex-1/1){1}(hex-2/2){1}(prod-1)",
+        [
+            ("warning", "renumbered",
+             "explicit numbering is inconsistent, assigning fresh numbers", 0, 7),
+        ],
+        SAME,
+    ),
+    (
+        "(raw-1)(hex-1/1){1}(hex-1/2){1}(prod-1)n|(raw-2)(hex-1/3){2}(hex-1/4){2}(prod-2)",
         [
             ("warning", "renumbered",
              "explicit numbering is inconsistent, assigning fresh numbers", 0, 7),

@@ -74,6 +74,25 @@ def test_legacy_cannot_express_branched_feeder():
         encode(g, legacy_converging=True)
 
 
+def test_legacy_needs_the_feed_at_the_end_of_the_branch():
+    # raw-2 feeds mix-1 and also runs on through v-1 to prod-2, so the
+    # converging branch goes on past the feed: a reversed chain cannot
+    g = FlowsheetGraph()
+    for name in ("raw-1", "mix-1", "prod-1", "raw-2", "v-1", "prod-2"):
+        g.add_node(name)
+    for src, dst in [
+        ("raw-1", "mix-1"),
+        ("mix-1", "prod-1"),
+        ("raw-2", "v-1"),
+        ("v-1", "prod-2"),
+        ("raw-2", "mix-1"),
+    ]:
+        g.add_edge(src, dst)
+    assert str(encode(g)) == "(raw)(mix)<&|(raw)&(v)(prod)|(prod)"
+    with pytest.raises(EncodeError, match="requires the feed at the end of the branch"):
+        encode(g, legacy_converging=True)
+
+
 def _two_way_pipes(pairs: int, graph: FlowsheetGraph | None = None) -> FlowsheetGraph:
     # Pipes in a line with a reverse edge alongside every forward one:
     # each pair is one recycle.

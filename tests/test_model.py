@@ -368,3 +368,73 @@ class TestJsonCodec:
         }
         with pytest.raises(GraphInvariantError):
             load_json(doc)
+
+
+_V = {"name": "v-1"}
+_W = {"name": "v-2"}
+
+# (document, message, field) for every SchemaError that load_json raises
+SCHEMA_ERRORS = [
+    ("[", "invalid JSON: Expecting value: line 1 column 2 (char 1)", None),
+    (b"nodes", "invalid JSON: Expecting value: line 1 column 1 (char 0)", None),
+    ("[]", "top level must be an object", None),
+    ({"nodes": [], "edges": [], "zeta": 1, "meta": 2}, "unknown keys: ['meta', 'zeta']", "meta"),
+    ({"edges": []}, "missing field: nodes", "nodes"),
+    ({"nodes": [], "edges": {}}, "edges must be a list", "edges"),
+    ({"nodes": ["v-1"], "edges": []}, "nodes[0] must be an object", "nodes[0]"),
+    ({"nodes": [{"ctrl": None}], "edges": []}, "nodes[0].name must be a string", "nodes[0].name"),
+    ({"nodes": [_V, {"name": 5}], "edges": []}, "nodes[1].name must be a string", "nodes[1].name"),
+    (
+        {"nodes": [{"name": "C-1", "ctrl": 5}], "edges": []},
+        "nodes[0].ctrl must be a string or null",
+        "nodes[0].ctrl",
+    ),
+    ({"nodes": [_V, _W], "edges": [["v-1", "v-2"]]}, "edges[0] must be an object", "edges[0]"),
+    (
+        {"nodes": [_V, _W], "edges": [{"src": "v-1", "dst": "v-2", "colour": "red"}]},
+        "edges[0] has unknown keys: ['colour']",
+        "edges[0]",
+    ),
+    (
+        {"nodes": [_V, _W], "edges": [{"src": "v-1", "dst": 2}]},
+        "edges[0].dst must be a string",
+        "edges[0].dst",
+    ),
+    (
+        {"nodes": [_V, _W], "edges": [{"src": "v-1", "dst": "v-2", "kind": "energy"}]},
+        "edges[0].kind must be material or signal",
+        "edges[0].kind",
+    ),
+    (
+        {"nodes": [_V, _W], "edges": [{"src": "v-1", "dst": "v-2", "tag": "side"}]},
+        "edges[0].tag must be one of ('bin', 'tin', 'bout', 'tout')",
+        "edges[0].tag",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, message, field", SCHEMA_ERRORS, ids=[m for _d, m, _f in SCHEMA_ERRORS]
+)
+def test_schema_errors_are_pinned(doc, message, field):
+    with pytest.raises(SchemaError) as exc:
+        load_json(doc)
+    assert (str(exc.value), exc.value.field) == (message, field)
+
+
+@pytest.mark.parametrize(
+    "doc, warning",
+    [
+        ({"nodes": [_V], "edges": [], "meta": 1}, "ignoring unknown keys: ['meta']"),
+        (
+            {"nodes": [_V, _W], "edges": [{"src": "v-1", "dst": "v-2", "colour": "red"}]},
+            "edges[0]: ignoring unknown keys ['colour']",
+        ),
+    ],
+)
+def test_lenient_load_warns_on_unknown_keys(doc, warning):
+    warnings: list[str] = []
+    g = load_json(doc, strict=False, warnings=warnings)
+    assert warnings == [warning]
+    assert load_json(save_json(g)) == g
+    load_json(doc, strict=False)  # no warnings list: the warning is dropped

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import canon_oracle
+import corpus
 import encode_oracle
 from sfiles2 import (
     GENERALIZED, NUMBERED, EncodeError, FlowsheetGraph, GraphInvariantError, NodeRef, encode,
@@ -29,12 +30,7 @@ from sfiles2.validate import REGISTRY
 # reach the parse machine and the finalize step, not only the lexer.
 # "²" and "١" are digits to str.isdigit but not ASCII digits.
 _CHARS = "()[]{}<>&|%_n-/0123456789ahrwxCX ²١"
-_FRAGMENTS = [
-    "(raw)", "(prod)", "(hex)", "(v)", "(mix)", "(r)", "(C)", "(frob)", "(hex-1/2)",
-    "(raw-1)", "(v-2)", "()", "{tin}", "{bout}", "{1}", "{2}", "{PC}", "{x}", "<&|",
-    "&", "|", "&|", "[", "]", "[<", "<(", "1", "<1", "%12", "<%12", "_1", "<_1",
-    "n|", "(", "{", "<", "²", "١",
-]
+_FRAGMENTS = corpus.FRAGMENTS
 
 texts = st.one_of(
     st.text(alphabet=_CHARS, max_size=40),
