@@ -7,14 +7,16 @@ a frame stack for branch brackets and converging groups, symmetric
 matching for recycle and signal mark pairs, and a finalize step that
 assigns equipment numbers and builds the graph through the model API.
 
-Recovery is one error per train: after a hard error the parser skips to
-the next ``n|`` separator and keeps collecting diagnostics, but returns
-no graph.
+Recovery is one error per train: a handler that meets a hard error
+records it and raises to end the train, the token loop skips to the next
+``n|`` separator and keeps collecting diagnostics, but no graph is
+returned.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -145,6 +147,10 @@ _MARKS = {
 }
 
 
+class _TrainEnd(Exception):
+    """Raised by a handler, after its error is recorded, to end the train."""
+
+
 class _Machine:
     def __init__(self, strict: bool, diags: ParseDiagnostics):
         self.strict = strict
@@ -162,9 +168,11 @@ class _Machine:
         self.marks: dict[tuple[str, int], tuple[str, int, str | None, int, int]] = {}
         self.failed = False
 
-    def error(self, code, message, start, end):
+    def error(self, code, message, start, end) -> _TrainEnd:
+        """Record an error; a handler raises what this returns."""
         self.diags.add("error", code, message, start, end)
         self.failed = True
+        return _TrainEnd()
 
     def reset_train(self):
         self.frames.clear()
@@ -172,13 +180,11 @@ class _Machine:
         self.pending = None
         self.attach = None
 
-    def no_tag(self, why="has no stream to mark", code="dangling-tag") -> bool:
-        """True when no column tag waits; otherwise report the waiting tag."""
-        if self.pending is None:
-            return True
-        tag, start, end = self.pending
-        self.error(code, f"tag {tag!r} {why}", start, end)
-        return False
+    def no_tag(self, why="has no stream to mark", code="dangling-tag") -> None:
+        """End the train if a column tag is waiting."""
+        if self.pending is not None:
+            tag, start, end = self.pending
+            raise self.error(code, f"tag {tag!r} {why}", start, end)
 
     def take_tag(self) -> str | None:
         """The waiting column tag, if any, now given to an edge."""
@@ -186,21 +192,18 @@ class _Machine:
         self.pending = None
         return tag
 
-    # -- token handlers; each returns False to trigger skip-to-next-train
+    # -- token handlers; each raises the error that ends its train
 
-    def on_error(self, tok: Token) -> bool:
-        self.error(tok.text, _ERROR_MESSAGES[tok.text], tok.start, tok.end)
-        return False
+    def on_error(self, tok: Token) -> None:
+        raise self.error(tok.text, _ERROR_MESSAGES[tok.text], tok.start, tok.end)
 
-    def on_node(self, tok: Token) -> bool:
+    def on_node(self, tok: Token) -> None:
         _kind, text, start, end = tok
         if not text:
-            self.error("empty-node", "node has no name", start, end)
-            return False
+            raise self.error("empty-node", "node has no name", start, end)
         m = _NAME_RE.fullmatch(text)
         if m is None:
-            self.error("bad-node-name", f"not a unit name: {text!r}", start, end)
-            return False
+            raise self.error("bad-node-name", f"not a unit name: {text!r}", start, end)
         category, number, sub = m.groups()
         idx = len(self.occs)
         self.occs.append(
@@ -210,15 +213,13 @@ class _Machine:
         if frames and frames[-1].kind == "legacy":
             frame = frames[-1]
             if not frame.await_node:
-                self.error(
+                raise self.error(
                     "malformed-legacy",
                     "nodes in a legacy converging branch must follow a < mark",
                     start,
                     end,
                 )
-                return False
-            if not self.no_tag("cannot mark a legacy branch"):
-                return False
+            self.no_tag("cannot mark a legacy branch")
             frame.await_node = False
             self.edges.append((idx, frame.chain_target, MATERIAL, None, start, end))
             frame.chain_target = idx
@@ -226,198 +227,165 @@ class _Machine:
             pending = self.pending  # the waiting column tag goes to this edge
             self.pending = None
             self.edges.append((self.current, idx, MATERIAL, pending and pending[0], start, end))
-        elif not self.no_tag():
-            return False
+        else:
+            self.no_tag()
         self.current = self.attach = idx
-        return True
 
-    def on_brace(self, tok: Token) -> bool:
+    def on_brace(self, tok: Token) -> None:
         text = tok.text
-        if text in COLUMN_TAGS:
-            if not self.no_tag():
-                return False
-            self.pending = (text, tok.start, tok.end)
-            return True
         target = self.occs[self.attach] if self.attach is not None else None
-        if target is not None and _DIGITS_RE.fullmatch(text) and target.category == "hex":
+        if text in COLUMN_TAGS:
+            self.no_tag()
+            self.pending = (text, tok.start, tok.end)
+        elif target is not None and _DIGITS_RE.fullmatch(text) and target.category == "hex":
             target.group = text
-            return True
-        if target is not None and CTRL_RE.fullmatch(text) and target.category == "C":
+        elif target is not None and CTRL_RE.fullmatch(text) and target.category == "C":
             if target.ctrl is not None:
-                self.error(
+                raise self.error(
                     "unknown-brace",
                     f"control node already carries code {target.ctrl!r}",
                     tok.start,
                     tok.end,
                 )
-                return False
             target.ctrl = text
-            return True
-        if self.strict:
-            self.error("unknown-brace", f"brace {text!r} is not recognized", tok.start, tok.end)
-            return False
-        self.diags.add("warning", "unknown-brace", f"ignoring brace {text!r}", tok.start, tok.end)
-        return True
+        elif self.strict:
+            raise self.error(
+                "unknown-brace", f"brace {text!r} is not recognized", tok.start, tok.end
+            )
+        else:
+            self.diags.add(
+                "warning", "unknown-brace", f"ignoring brace {text!r}", tok.start, tok.end
+            )
 
-    def on_branch_open(self, tok: Token, legacy_next: bool) -> bool:
-        if not self.no_tag("must follow the opening bracket"):
-            return False
+    def on_branch_open(self, tok: Token, legacy_next: bool) -> None:
+        self.no_tag("must follow the opening bracket")
         if self.current is None:
-            self.error(
+            raise self.error(
                 "branch-without-node", "branch has no node to fork from", tok.start, tok.end
             )
-            return False
         kind = "legacy" if legacy_next else "branch"
         self.frames.append(
             _Frame(kind, owner=self.current, start=tok.start, chain_target=self.current)
         )
-        return True
 
-    def on_branch_close(self, tok: Token) -> bool:
-        if not self.no_tag():
-            return False
+    def on_branch_close(self, tok: Token) -> None:
+        self.no_tag()
         if not self.frames or self.frames[-1].kind not in ("branch", "legacy"):
-            self.error(
+            raise self.error(
                 "unmatched-bracket-close", "no open branch to close", tok.start, tok.end
             )
-            return False
         # the lexer emits legacy_back only in front of "(", so a node or a
         # lexer error always follows it: no legacy frame closes awaiting a node
         self.current = self.frames.pop().owner
-        return True
 
-    def on_conv_open(self, tok: Token) -> bool:
-        if not self.no_tag():
-            return False
+    def on_conv_open(self, tok: Token) -> None:
+        self.no_tag()
         if self.current is None:
-            self.error(
+            raise self.error(
                 "branch-without-node",
                 "converging branch has no node to merge into",
                 tok.start,
                 tok.end,
             )
-            return False
         self.frames.append(_Frame("conv", owner=self.current, start=tok.start))
         self.current = None
-        return True
 
-    def on_connector(self, tok: Token) -> bool:
-        conv = None
-        for frame in reversed(self.frames):
-            if frame.kind == "conv":
-                conv = frame
-                break
-            if frame.kind == "legacy":
-                break
-        if conv is None:
-            self.error(
+    def on_connector(self, tok: Token) -> None:
+        # a legacy frame hides any converging frame around it
+        conv = next((f for f in reversed(self.frames) if f.kind != "branch"), None)
+        if conv is None or conv.kind != "conv":
+            raise self.error(
                 "stray-connector", "& is only valid inside <&|...|", tok.start, tok.end
             )
-            return False
         if conv.seen_connector:
-            self.error(
+            raise self.error(
                 "multiple-connector",
                 "converging branch already has its & connection",
                 tok.start,
                 tok.end,
             )
-            return False
         if self.current is None:
-            self.error("mark-without-node", "& has no node to connect", tok.start, tok.end)
-            return False
+            raise self.error("mark-without-node", "& has no node to connect", tok.start, tok.end)
         conv.seen_connector = True
         self.edges.append(
             (self.current, conv.owner, MATERIAL, self.take_tag(), tok.start, tok.end)
         )
-        return True
 
-    def on_conv_close(self, tok: Token) -> bool:
-        if not self.no_tag():
-            return False
+    def on_conv_close(self, tok: Token) -> None:
+        self.no_tag()
         if not self.frames:
-            self.error(
+            raise self.error(
                 "unmatched-conv-close", "no open converging branch to close", tok.start, tok.end
             )
-            return False
         frame = self.frames[-1]
         if frame.kind != "conv":
-            self.error(
+            raise self.error(
                 "unclosed-branch",
                 "branch bracket is still open inside the converging branch",
                 frame.start,
                 frame.start + 1,
             )
-            return False
         self.frames.pop()
         if not frame.seen_connector:
-            self.error(
+            raise self.error(
                 "missing-connector",
                 "converging branch closed without its & connection",
                 tok.start,
                 tok.end,
             )
-            return False
         self.current = frame.owner
-        return True
 
-    def on_mark(self, tok: Token) -> bool:
+    def on_mark(self, tok: Token) -> None:
         """One recycle or signal mark; the second mark of an id makes the edge."""
         kind, side, edge_kind, clash = _MARKS[tok.kind]
         tag = None
         if kind == "signal":
-            if not self.no_tag("cannot mark a signal", code="tag-on-signal"):
-                return False
+            self.no_tag("cannot mark a signal", code="tag-on-signal")
         elif side == "in":
-            if not self.no_tag("cannot mark a recycle target"):
-                return False
+            self.no_tag("cannot mark a recycle target")
         else:
             tag = self.take_tag()  # the out side owns the column tag
         if self.current is None:
-            self.error("mark-without-node", f"{kind} mark has no node", tok.start, tok.end)
-            return False
+            raise self.error("mark-without-node", f"{kind} mark has no node", tok.start, tok.end)
         key = (kind, int(tok.text))
         open_ = self.marks.get(key)
         if open_ is None:
             self.marks[key] = (side, self.current, tag, tok.start, tok.end)
-            return True
+            return
         other, occ, open_tag, _s, _e = open_
         if other == side:
-            self.error(f"dangling-{kind}", f"{kind} {key[1]} {clash}", tok.start, tok.end)
-            return False
+            raise self.error(f"dangling-{kind}", f"{kind} {key[1]} {clash}", tok.start, tok.end)
         del self.marks[key]
         if side == "out":
             src, dst = self.current, occ
         else:
             src, dst, tag = occ, self.current, open_tag
         self.edges.append((src, dst, edge_kind, tag, tok.start, tok.end))
-        return True
 
-    def on_legacy_back(self, tok: Token) -> bool:
-        frame = self.frames[-1] if self.frames else None
-        if frame is None or frame.kind != "legacy":
-            self.error(
+    def on_legacy_back(self, tok: Token) -> None:
+        if not self.frames or self.frames[-1].kind != "legacy":
+            raise self.error(
                 "malformed-legacy",
                 "backward connection is only valid inside [<(...) branches",
                 tok.start,
                 tok.end,
             )
-            return False
-        frame.await_node = True
-        return True
+        self.frames[-1].await_node = True
 
-    def on_train_sep(self, tok: Token) -> bool:
-        if not self.no_tag():
-            return False
+    def on_train_sep(self, tok: Token) -> None:
+        self.no_tag()
         if self.frames:
             frame = self.frames[-1]
             code = "unclosed-converging" if frame.kind == "conv" else "unclosed-branch"
-            self.error(code, "still open at the train separator", frame.start, frame.start + 1)
-            return False
+            raise self.error(
+                code, "still open at the train separator", frame.start, frame.start + 1
+            )
         self.current = None
-        return True
 
     def finish(self) -> None:
-        self.no_tag()
+        """Report every piece still open at the end of the input."""
+        with suppress(_TrainEnd):
+            self.no_tag()
         for frame in self.frames:
             code = "unclosed-converging" if frame.kind == "conv" else "unclosed-branch"
             self.error(code, "still open at the end of the input", frame.start, frame.start + 1)
@@ -450,11 +418,12 @@ def _run_machine(tokens: list[Token], strict: bool, diags: ParseDiagnostics) -> 
         kind = tok.kind
         if kind != "node" and kind != "brace":
             m.attach = None  # braces after anything else do not annotate a node
-        if kind == "branch_open":
-            ok = m.on_branch_open(tok, i + 1 < n and tokens[i + 1].kind == "legacy_back")
-        else:
-            ok = _HANDLERS[kind](m, tok)
-        if not ok:
+        try:
+            if kind == "branch_open":
+                m.on_branch_open(tok, i + 1 < n and tokens[i + 1].kind == "legacy_back")
+            else:
+                _HANDLERS[kind](m, tok)
+        except _TrainEnd:
             # first error per train: skip ahead to the next separator,
             # unless the failing token was itself the separator
             if kind != "train_sep":
