@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import insort
 from dataclasses import dataclass
 
 from .errors import GraphInvariantError, SchemaError
@@ -117,9 +116,9 @@ class FlowsheetGraph:
 
     def __init__(self):
         self._nodes: dict[str, _Node] = {}
-        # Exchanger number -> its node names, sub-units in order.  Only
+        # Exchanger number -> whether its nodes are sub-units.  Only
         # exchangers can share equipment: every other name is unique.
-        self._hex: dict[int, list[str]] = {}
+        self._hex: dict[int, bool] = {}
 
     # -- nodes
 
@@ -134,16 +133,12 @@ class FlowsheetGraph:
             )
         if ctrl is not None and not CTRL_RE.fullmatch(ctrl):
             raise GraphInvariantError(f"control code must be capital letters A-Z: {ctrl!r}")
-        members = None
-        if ref.category == "hex":
-            members = self._hex.setdefault(ref.number, [])
-            if members and (self._nodes[members[0]].ref.sub is None) != (ref.sub is None):
-                raise GraphInvariantError(
-                    f"cannot mix plain and sub-unit forms of {ref.category}-{ref.number}"
-                )
+        split = ref.sub is not None
+        if ref.category == "hex" and self._hex.setdefault(ref.number, split) != split:
+            raise GraphInvariantError(
+                f"cannot mix plain and sub-unit forms of {ref.category}-{ref.number}"
+            )
         self._nodes[name] = _Node(ref, ctrl)
-        if members is not None:
-            insort(members, name, key=lambda n: self._nodes[n].ref.sub or 0)
         return ref
 
     def has_node(self, name: str) -> bool:
@@ -212,10 +207,9 @@ class FlowsheetGraph:
         """All nodes grouped by shared equipment, sub-units in order."""
         groups: dict[tuple[str, int], list[str]] = {}
         for name, node in self._nodes.items():
-            ref = node.ref
-            if ref.equipment not in groups:
-                shared = ref.category == "hex"
-                groups[ref.equipment] = list(self._hex[ref.number]) if shared else [name]
+            groups.setdefault(node.ref.equipment, []).append(name)
+        for members in groups.values():
+            members.sort(key=lambda n: self._nodes[n].ref.sub or 0)
         return groups
 
     # -- comparison and copying
