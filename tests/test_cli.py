@@ -58,16 +58,23 @@ class TestEncode:
         assert rc == 0
         assert target.read_text() == corpus.fixture("absorber").generalized + "\n"
 
-    def test_missing_file_is_schema_exit(self):
-        rc = main(["encode", "/nonexistent/file.json"])
+    def test_missing_file_is_schema_exit(self, capsys):
+        path = "/nonexistent/file.json"
+        rc = main(["encode", path])
         assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: [Errno 2] No such file or directory: '{path}'\n"
 
-    def test_bad_schema_exit(self, tmp_path):
+    def test_bad_schema_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text('{"nodes": "nope"}')
         assert main(["encode", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {p}: nodes must be a list\n"
 
-    def test_invariant_exit(self, tmp_path):
+    def test_invariant_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         doc = {
             "nodes": [{"name": "prod-1"}, {"name": "v-1"}],
@@ -75,6 +82,9 @@ class TestEncode:
         }
         p.write_text(json.dumps(doc))
         assert main(["encode", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {p}: material edge out of prod node prod-1\n"
 
     @pytest.mark.parametrize("ctrl", ["", "fc", "F}C"])
     def test_unwritable_ctrl_code_is_invariant_exit(self, tmp_path, ctrl):
@@ -291,6 +301,36 @@ class TestRegistry:
         out = capsys.readouterr().out
         assert "category" in out.splitlines()[0]
         assert any(line.startswith("dist") for line in out.splitlines())
+
+
+_GOOD = corpus.fixture("absorber")
+# A command whose second item fails, and the exit code it must return.
+_FAILING_BATCHES = {
+    "encode-missing-file": (
+        ["encode", fixture_path("absorber"), "/nonexistent/file.json", fixture_path("bypass_split")],
+        2,
+    ),
+    "encode-unencodable": (
+        ["encode", "--legacy-converging", fixture_path("reactor_recycle_plant"),
+         fixture_path("absorber")],
+        3,
+    ),
+    "decode-parse-error": (["decode", _GOOD.numbered, "(raw)[", _GOOD.generalized], 4),
+    "canon-parse-error": (["canon", _GOOD.numbered, "(raw)[", _GOOD.generalized], 4),
+    "canon-unencodable": (
+        ["canon", "--legacy-converging", "(raw)(hex)(prod)", "(raw)(mix)<&|(raw)&(v)(prod)|(prod)"],
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output-file"])
+@pytest.mark.parametrize("argv, code", _FAILING_BATCHES.values(), ids=list(_FAILING_BATCHES))
+def test_a_failure_after_a_good_item_writes_nothing(argv, code, to_file, tmp_path, capsys):
+    target = tmp_path / "out"
+    assert main([*argv, "-o", str(target)] if to_file else argv) == code
+    assert capsys.readouterr().out == ""
+    assert not target.exists()
 
 
 def test_module_entrypoint_runs_as_subprocess():

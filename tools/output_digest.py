@@ -13,16 +13,27 @@ each, and every graph of the benchmark's ``plants``, ``scaled`` and
 text at seed 1 (truncations and ``corpus.MALFORMED`` included) and 20,000
 seeded joins of ``corpus.FRAGMENTS``.  A parse is hashed as the graph's
 ``save_json`` (or None) and each diagnostic's level, code, message, start
-and end.  Two checkouts that print the same digest write the same bytes
-and decode every one of these strings alike.  The program is imported
+and end.  Last come in-process runs of the ``encode``, ``decode``,
+``canon`` and ``check`` commands, each hashed as its exit code (or the
+exception it raised), stdout, stderr and ``-o`` bytes: over the fixture
+files, their strings, ``corpus.MALFORMED``, malformed graph files, stdin,
+and batches with a bad item in the middle.  Two checkouts that print the
+same digest write the same bytes, decode every one of these strings
+alike and give the same command line results.  The program is imported
 from ``PYTHONPATH``; the inputs come from this file's own checkout.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import json
+import os
 import random
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +45,7 @@ import genflow  # noqa: E402
 from sfiles2 import (  # noqa: E402
     EncodeError, FlowsheetGraph, encode, parse, rank_graph, roundtrip_check, save_json,
 )
+from sfiles2.cli import main as cli_main  # noqa: E402
 
 
 def _build(spec: gen.Spec) -> FlowsheetGraph:
@@ -113,6 +125,93 @@ def record(g: FlowsheetGraph) -> str:
     return "\t".join(fields) + "\n" + "".join(map(decoded, written))
 
 
+# Graph files the loader or the encoder must refuse, by name.
+_OVERFLOW = [f"pp-{i}" for i in range(1, 102)]  # 100 two-way pairs; the notation has 99 ids
+BAD_FILES = {
+    "invalid.json": b"[",
+    "schema.json": b'{"nodes": "nope"}',
+    "invariant.json": json.dumps(
+        {"nodes": [{"name": "prod-1"}, {"name": "v-1"}], "edges": [{"src": "prod-1", "dst": "v-1"}]}
+    ).encode(),
+    "extra-key.json": b'{"nodes": [{"name": "v-1", "colour": "red"}], "edges": []}',
+    "overflow.json": json.dumps({
+        "nodes": [{"name": n} for n in _OVERFLOW],
+        "edges": [
+            {"src": a, "dst": b}
+            for x, y in zip(_OVERFLOW, _OVERFLOW[1:]) for a, b in ((x, y), (y, x))
+        ],
+    }).encode(),
+    "not-utf8.json": b"\xff",
+    "deep.json": b"[" * 100000,
+    "big-int.json": b'{"nodes": [], "edges": [], "x": ' + b"1" * 5000 + b"}",
+    "signal-tag.json": json.dumps({
+        "nodes": [{"name": "C-1", "ctrl": "FC"}, {"name": "v-1"}],
+        "edges": [{"src": "C-1", "dst": "v-1", "kind": "signal", "tag": "bin"}],
+    }).encode(),
+}
+
+
+def run_cli(argv: list[str], stdin: str = "") -> str:
+    """One command in the working directory: its argv, exit code (or the
+    exception it raised), stdout, stderr and the bytes of ``out`` (or None)."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove("out")
+    out, err = io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+    except Exception as exc:  # noqa: BLE001 - a crash is a result to hash
+        code = f"raised {type(exc).__name__}: {exc}"
+    finally:
+        sys.stdin = sys.__stdin__
+    written = Path("out").read_bytes() if os.path.exists("out") else None
+    return repr((argv, code, out.getvalue(), err.getvalue(), written)) + "\n"
+
+
+def cli_runs():
+    """Every command run, in a scratch directory holding the fixture files
+    and ``BAD_FILES`` (plus ``missing.json``, which does not exist)."""
+    fixtures = sorted(p.name for p in (ROOT / "tests" / "fixtures").glob("*.json"))
+    bad = [*BAD_FILES, "missing.json"]
+    strings = [
+        s
+        for f in corpus.FIXTURES
+        for s in (f.generalized, f.numbered, f.legacy_generalized, f.legacy_numbered)
+        if s is not None
+    ]
+    malformed = [text for _name, text, _code in corpus.MALFORMED]
+    for path in fixtures:
+        for flags in ([], ["--numbered"], ["--legacy-converging"], ["--numbered", "--legacy-converging"]):
+            yield run_cli(["encode", *flags, path])
+        yield run_cli(["encode", path, "-o", "out"])
+        yield run_cli(["encode", "-"], (ROOT / "tests" / "fixtures" / path).read_text("utf-8"))
+        yield run_cli(["check", path])
+    for path in bad:
+        for flags in ([], ["--lenient"]):
+            yield run_cli(["encode", *flags, path])
+            yield run_cli(["encode", *flags, fixtures[0], path, fixtures[1], "-o", "out"])
+            yield run_cli(["encode", *flags, fixtures[0], path, fixtures[1]])
+        yield run_cli(["check", fixtures[0], path, fixtures[1]])
+    yield run_cli(["encode", *fixtures])
+    yield run_cli(["encode", *fixtures, "-o", "out"])
+    yield run_cli(["check", *fixtures, *bad])
+    for text in strings + malformed:
+        for cmd in ("decode", "canon"):
+            for flags in ([], ["--lenient"], ["-o", "out"]):
+                yield run_cli([cmd, *flags, text])
+        for flags in (["--numbered"], ["--legacy-converging"]):
+            yield run_cli(["canon", *flags, text])
+    for cmd in ("decode", "canon"):
+        yield run_cli([cmd, *strings])
+        yield run_cli([cmd, *strings, "-o", "out"])
+        yield run_cli([cmd, "-"], "".join(f" {s}\r\n\r\n" for s in strings))
+        for text in malformed:
+            for flags in ([], ["--lenient"]):
+                yield run_cli([cmd, *flags, strings[0], text, strings[1]])
+                yield run_cli([cmd, *flags, strings[0], text, strings[1], "-o", "out"])
+
+
 def main() -> int:
     h = hashlib.sha256()
     count = 0
@@ -122,6 +221,19 @@ def main() -> int:
     for text in texts():
         h.update(decoded(text).encode("utf-8"))
         count += 1
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        for path in (ROOT / "tests" / "fixtures").glob("*.json"):
+            shutil.copy(path, scratch)
+        for name, blob in BAD_FILES.items():
+            Path(scratch, name).write_bytes(blob)
+        os.chdir(scratch)
+        try:
+            for run in cli_runs():
+                h.update(run.encode("utf-8"))
+                count += 1
+        finally:
+            os.chdir(here)
     print(f"{h.hexdigest()} {count}")
     return 0
 
