@@ -11,7 +11,7 @@ import json
 import sys
 
 from .encode import GENERALIZED, NUMBERED, encode
-from .errors import EncodeError, GraphInvariantError, SchemaError
+from .errors import EncodeError, GraphInvariantError, ParseError, SfilesError
 from .model import _json_doc, load_json, save_json
 from .parse import parse, roundtrip_check
 from .validate import REGISTRY, check_graph
@@ -21,15 +21,6 @@ EXIT_CHECK = 1
 EXIT_SCHEMA = 2
 EXIT_INVARIANT = 3
 EXIT_PARSE = 4
-
-
-def _print_diagnostics(text: str, diags, out=None) -> None:
-    out = out if out is not None else sys.stderr
-    for d in diags.entries:
-        print(f"{d.level}[{d.code}]: {d.message}", file=out)
-        print(f"  {text}", file=out)
-        width = max(1, d.end - d.start)
-        print("  " + " " * d.start + "^" * width, file=out)
 
 
 def _add_mode_flags(p: argparse.ArgumentParser) -> None:
@@ -85,46 +76,58 @@ def _string_inputs(items: list[str]) -> list[str]:
     return out
 
 
-def _cmd_encode(args) -> int:
-    lines: list[str] = []
-    for path in args.paths:
+def _parsed(text: str, strict: bool):
+    """The graph of one string, after printing its diagnostics with carets.
+
+    Raises ParseError when the parse returned no graph."""
+    graph, diags = parse(text, strict=strict)
+    for d in diags.entries:
+        print(f"{d.level}[{d.code}]: {d.message}", file=sys.stderr)
+        print(f"  {text}", file=sys.stderr)
+        print("  " + " " * d.start + "^" * max(1, d.end - d.start), file=sys.stderr)
+    if graph is None:
+        raise ParseError(f"cannot parse {text!r}", diags)
+    return graph
+
+
+def _batch(args, items: list[str], convert, named: bool = True) -> int:
+    """Convert every item to bytes, then write them all to ``-o`` or stdout.
+
+    The first failure writes nothing and returns its exit code; its error
+    line names the item when ``named``."""
+    chunks: list[bytes] = []
+    for item in items:
         try:
-            graph = _read_graph(path, args.strict)
-            s = encode(graph, args.mode, legacy_converging=args.legacy_converging)
-        except SchemaError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+            chunks.append(convert(item))
+        except ParseError:  # its diagnostics are printed already
+            return EXIT_PARSE
+        except (SfilesError, OSError) as exc:
+            print(f"error: {item}: {exc}" if named else f"error: {exc}", file=sys.stderr)
+            if isinstance(exc, (GraphInvariantError, EncodeError)):
+                return EXIT_INVARIANT
             return EXIT_SCHEMA
-        except (GraphInvariantError, EncodeError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_INVARIANT
-        except OSError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_SCHEMA
-        lines.append(str(s))
-    _write_output(args.output, lines)
+    if args.output:
+        with open(args.output, "wb") as fh:
+            fh.writelines(chunks)
+    else:
+        sys.stdout.write(b"".join(chunks).decode("utf-8"))
     return EXIT_OK
+
+
+def _encoded(graph, args) -> bytes:
+    text = encode(graph, args.mode, legacy_converging=args.legacy_converging)
+    return (text + "\n").encode("utf-8")
+
+
+def _cmd_encode(args) -> int:
+    return _batch(args, args.paths, lambda path: _encoded(_read_graph(path, args.strict), args))
 
 
 def _cmd_decode(args) -> int:
     texts = _string_inputs(args.strings)
     # One string prints one indented document; several print one JSON line each.
     serialize = save_json if len(texts) == 1 else _json_line
-    docs: list[bytes] = []
-    for text in texts:
-        graph, diags = parse(text, strict=args.strict)
-        if graph is None:
-            _print_diagnostics(text, diags)
-            return EXIT_PARSE
-        if diags.entries:
-            _print_diagnostics(text, diags)
-        docs.append(serialize(graph))
-    if args.output:
-        with open(args.output, "wb") as fh:
-            fh.writelines(docs)
-    else:
-        for doc in docs:
-            sys.stdout.write(doc.decode("utf-8"))
-    return EXIT_OK
+    return _batch(args, texts, lambda text: serialize(_parsed(text, args.strict)))
 
 
 def _json_line(graph) -> bytes:
@@ -134,21 +137,7 @@ def _json_line(graph) -> bytes:
 
 def _cmd_canon(args) -> int:
     texts = _string_inputs(args.strings)
-    lines: list[str] = []
-    for text in texts:
-        graph, diags = parse(text, strict=args.strict)
-        if graph is None:
-            _print_diagnostics(text, diags)
-            return EXIT_PARSE
-        if diags.entries:
-            _print_diagnostics(text, diags)
-        try:
-            lines.append(str(encode(graph, args.mode, legacy_converging=args.legacy_converging)))
-        except EncodeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVARIANT
-    _write_output(args.output, lines)
-    return EXIT_OK
+    return _batch(args, texts, lambda text: _encoded(_parsed(text, args.strict), args), named=False)
 
 
 def _cmd_check(args) -> int:
@@ -157,7 +146,7 @@ def _cmd_check(args) -> int:
         try:
             graph = _read_graph(path, strict=False)
             report = roundtrip_check(graph)  # EncodeError: a graph it cannot write
-        except (SchemaError, GraphInvariantError, EncodeError, OSError) as exc:
+        except (SfilesError, OSError) as exc:
             print(f"{path}: FAIL ({exc})")
             failures += 1
             continue
@@ -199,16 +188,6 @@ def _cmd_registry(args) -> int:
                 f"{op.inlets.describe():<8} {op.outlets.describe()}"
             )
     return EXIT_OK
-
-
-def _write_output(path: str | None, lines: list[str]) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-    else:
-        for line in lines:
-            print(line)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -266,6 +266,15 @@ def load_json(
         if warnings is not None:
             warnings.append(msg)
 
+    def check_item(item, where: str, keys: set[str]) -> None:
+        if not isinstance(item, dict):
+            raise SchemaError(f"{where} must be an object", field=where)
+        extra = set(item) - keys
+        if extra:
+            if strict:
+                raise SchemaError(f"{where} has unknown keys: {sorted(extra)}", field=where)
+            warn(f"{where}: ignoring unknown keys {sorted(extra)}")
+
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     extra = set(doc) - {"nodes", "edges"}
@@ -282,13 +291,7 @@ def load_json(
     g = FlowsheetGraph()
     for i, item in enumerate(doc["nodes"]):
         where = f"nodes[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError(f"{where} must be an object", field=where)
-        extra = set(item) - _NODE_KEYS
-        if extra:
-            if strict:
-                raise SchemaError(f"{where} has unknown keys: {sorted(extra)}", field=where)
-            warn(f"{where}: ignoring unknown keys {sorted(extra)}")
+        check_item(item, where, _NODE_KEYS)
         if "name" not in item or not isinstance(item["name"], str):
             raise SchemaError(f"{where}.name must be a string", field=f"{where}.name")
         ctrl = item.get("ctrl")
@@ -302,13 +305,7 @@ def load_json(
 
     for i, item in enumerate(doc["edges"]):
         where = f"edges[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError(f"{where} must be an object", field=where)
-        extra = set(item) - _EDGE_KEYS
-        if extra:
-            if strict:
-                raise SchemaError(f"{where} has unknown keys: {sorted(extra)}", field=where)
-            warn(f"{where}: ignoring unknown keys {sorted(extra)}")
+        check_item(item, where, _EDGE_KEYS)
         for k in ("src", "dst"):
             if k not in item or not isinstance(item[k], str):
                 raise SchemaError(f"{where}.{k} must be a string", field=f"{where}.{k}")
