@@ -257,7 +257,7 @@ def load_json(
     if isinstance(data, (bytes, str)):
         try:
             doc = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, nesting, huge integers too
             raise SchemaError(f"invalid JSON: {exc}") from exc
     else:
         doc = data
@@ -315,6 +315,10 @@ def load_json(
             raise SchemaError(f"{where}.kind must be material or signal", field=f"{where}.kind")
         if tag is not None and tag not in COLUMN_TAGS:
             raise SchemaError(f"{where}.tag must be one of {COLUMN_TAGS}", field=f"{where}.tag")
+        if (kind, tag) not in _EDGE_ATTRS:
+            raise SchemaError(
+                f"{where}.tag: stream tags are only valid on material edges", field=f"{where}.tag"
+            )
         g.add_edge(item["src"], item["dst"], kind=kind, tag=tag)
     return g
 

@@ -19,6 +19,18 @@ def fixture_path(key: str) -> str:
     return str(FIXDIR / f"{key}.json")
 
 
+# Graph files that once escaped the loader's checks as other exceptions.
+_CRASH_INPUTS = {
+    "not-utf8": b"\xff",
+    "deep-nesting": b"[" * 100000,
+    "big-integer": b'{"nodes": [], "edges": [], "x": ' + b"1" * 5000 + b"}",
+    "tagged-signal": json.dumps({
+        "nodes": [{"name": "C-1", "ctrl": "FC"}, {"name": "v-1"}],
+        "edges": [{"src": "C-1", "dst": "v-1", "kind": "signal", "tag": "bin"}],
+    }).encode(),
+}
+
+
 class TestEncode:
     def test_encode_file(self, capsys):
         rc = main(["encode", fixture_path("absorber")])
@@ -98,6 +110,16 @@ class TestEncode:
 
     def test_legacy_unencodable_is_invariant_exit(self):
         assert main(["encode", "--legacy-converging", fixture_path("absorber")]) == 3
+
+    @pytest.mark.parametrize("blob", _CRASH_INPUTS.values(), ids=list(_CRASH_INPUTS))
+    def test_malformed_document_is_schema_exit(self, tmp_path, capsys, blob):
+        p = tmp_path / "bad.json"
+        p.write_bytes(blob)
+        assert main(["encode", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {p}: ")
+        assert captured.err.count("\n") == 1
 
     def test_lenient_prints_a_warning_per_unknown_key(self, tmp_path, capsys):
         p = tmp_path / "extra.json"
@@ -273,6 +295,17 @@ class TestCheck:
             f"{p}: FAIL (more than 99 recycle connections in one string)",
             f"{fixture_path('absorber')}: ok",
         ]
+
+    @pytest.mark.parametrize("blob", _CRASH_INPUTS.values(), ids=list(_CRASH_INPUTS))
+    def test_malformed_document_fails_and_the_batch_goes_on(self, tmp_path, capsys, blob):
+        p = tmp_path / "bad.json"
+        p.write_bytes(blob)
+        rc = main(["check", fixture_path("bypass_split"), str(p), fixture_path("absorber")])
+        assert rc == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"{fixture_path('bypass_split')}: ok"
+        assert out[1].startswith(f"{p}: FAIL (")
+        assert out[2:] == [f"{fixture_path('absorber')}: ok"]
 
     def test_no_paths_is_a_usage_error(self, capsys):
         # An empty file list must not pass silently, as with encode and decode.

@@ -410,6 +410,31 @@ SCHEMA_ERRORS = [
         "edges[0].tag must be one of ('bin', 'tin', 'bout', 'tout')",
         "edges[0].tag",
     ),
+    (
+        {
+            "nodes": [{"name": "C-1", "ctrl": "FC"}, _V],
+            "edges": [{"src": "C-1", "dst": "v-1", "kind": "signal", "tag": "bin"}],
+        },
+        "edges[0].tag: stream tags are only valid on material edges",
+        "edges[0].tag",
+    ),
+    (
+        b"\xff",
+        "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        None,
+    ),
+    (
+        "[" * 100000,
+        "invalid JSON: maximum recursion depth exceeded while decoding a JSON array"
+        " from a unicode string",
+        None,
+    ),
+    (
+        '{"nodes": [], "edges": [], "x": ' + "1" * 5000 + "}",
+        "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion:"
+        " value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit",
+        None,
+    ),
 ]
 
 

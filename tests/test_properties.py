@@ -9,18 +9,23 @@ Whatever graph the model accepts, its numbered string parses back to
 the same graph without a diagnostic, the ranking stages return what the
 reference copies in ``canon_oracle`` return, and every encoding is what
 the reference copy in ``encode_oracle`` writes.
+
+Whatever bytes or graph document it is given, ``load_json`` returns a
+graph or raises ``SchemaError`` or ``GraphInvariantError``, nothing else.
 """
 
+import json
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import canon_oracle
 import corpus
 import encode_oracle
 from sfiles2 import (
-    GENERALIZED, NUMBERED, EncodeError, FlowsheetGraph, GraphInvariantError, NodeRef, encode,
-    morgan_iterate, parse, tokenize,
+    GENERALIZED, NUMBERED, EncodeError, FlowsheetGraph, GraphInvariantError, NodeRef, SchemaError,
+    encode, load_json, morgan_iterate, parse, tokenize,
 )
 from sfiles2.canon import _Index, _reach_counts, rank_components
 from sfiles2.model import COLUMN_TAGS, CTRL_RE, EDGE_KINDS, MATERIAL
@@ -122,3 +127,53 @@ def test_encodings_match_the_reference(g):
     for mode in (GENERALIZED, NUMBERED):
         assert str(encode(g, mode)) == encode_oracle.encode(g, mode)
     assert _legacy(encode, g) == _legacy(encode_oracle.encode, g)
+
+
+# Parts of graph documents, valid and not, for the loader property.
+_NOT_OBJECTS = st.sampled_from([None, 0, 1.5, True, "", "v-1", [], ["v-1"]])
+_NAMES = st.sampled_from(["raw-1", "prod-1", "v-1", "v-2", "hex-1/1", "hex-1", "C-1", "v-0", 5, None])
+
+
+def _objects(required: dict, optional: dict | None = None):
+    """JSON objects with the required fields, any of the optional ones and
+    perhaps an unknown key."""
+    return st.builds(
+        lambda known, extra: {**known, **extra},
+        st.fixed_dictionaries(required, optional=optional),
+        st.dictionaries(st.sampled_from(["colour", "meta"]), _NOT_OBJECTS, max_size=1),
+    )
+
+
+_nodes = _objects({"name": _NAMES}, {"ctrl": st.sampled_from(["FC", "fc", "", "F}C", 5, None])})
+_edges = _objects({
+    "src": _NAMES,
+    "dst": _NAMES,
+    "kind": st.sampled_from(["signal", "signal", "material", "energy", None]),
+    "tag": st.sampled_from(["bin", "tout", None, "side", 3]),
+})
+_documents = _objects(
+    {"nodes": st.lists(_nodes | _NOT_OBJECTS, max_size=4), "edges": st.lists(_edges, max_size=3)},
+    {},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.one_of(_documents, _documents.map(json.dumps), st.binary(max_size=40)),
+    strict=st.booleans(),
+)
+@example(
+    data={
+        "nodes": [{"name": "C-1", "ctrl": "FC"}, {"name": "v-1"}],
+        "edges": [{"src": "C-1", "dst": "v-1", "kind": "signal", "tag": "bin"}],
+    },
+    strict=True,
+)
+@example(data=b"\xff", strict=True)
+@example(data=b"[" * 100000, strict=True)
+@example(data='{"nodes": [], "edges": [], "x": ' + "1" * 5000 + "}", strict=False)
+def test_load_json_raises_only_schema_or_invariant_errors(data, strict):
+    try:
+        load_json(data, strict=strict, warnings=[])
+    except (SchemaError, GraphInvariantError):
+        pass
