@@ -1,6 +1,6 @@
 """Bidirectional codec between flowsheet graphs and SFILES 2.0 strings."""
 
-from .canon import RankTable, morgan_iterate
+from .canon import RankTable
 from .encode import GENERALIZED, NUMBERED, SfilesString, encode, rank_graph
 from .errors import (
     EncodeError,
@@ -60,7 +60,6 @@ __all__ = [
     "check_graph",
     "encode",
     "load_json",
-    "morgan_iterate",
     "parse",
     "parse_sfiles",
     "rank_graph",

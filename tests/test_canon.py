@@ -9,8 +9,8 @@ import pytest
 import canon_oracle
 import corpus
 import genflow
-from sfiles2 import FlowsheetGraph, canon, encode, morgan_iterate, rank_graph
-from sfiles2.canon import _Index, _reach_counts, _refine, rank_components
+from sfiles2 import FlowsheetGraph, canon, encode, rank_graph
+from sfiles2.canon import _Index, _reach_counts, _refine, morgan_iterate, rank_components
 
 # The package's ``encode`` is the function; the module is needed here.
 encode_module = importlib.import_module("sfiles2.encode")

@@ -25,9 +25,9 @@ import corpus
 import encode_oracle
 from sfiles2 import (
     GENERALIZED, NUMBERED, EncodeError, FlowsheetGraph, GraphInvariantError, NodeRef, SchemaError,
-    encode, load_json, morgan_iterate, parse, tokenize,
+    encode, load_json, parse, tokenize,
 )
-from sfiles2.canon import _Index, _reach_counts, rank_components
+from sfiles2.canon import _Index, _reach_counts, morgan_iterate, rank_components
 from sfiles2.model import COLUMN_TAGS, CTRL_RE, EDGE_KINDS, MATERIAL
 from sfiles2.validate import REGISTRY
 
