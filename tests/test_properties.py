@@ -131,7 +131,7 @@ def test_encodings_match_the_reference(g):
 
 # Parts of graph documents, valid and not, for the loader property.
 _NOT_OBJECTS = st.sampled_from([None, 0, 1.5, True, "", "v-1", [], ["v-1"]])
-_NAMES = st.sampled_from(["raw-1", "prod-1", "v-1", "v-2", "hex-1/1", "hex-1", "C-1", "v-0", 5, None])
+_NAMES = st.sampled_from(["raw-1", "prod-1", "v-1", "v-2", "hex-1/1", "hex-1", "C-1", "v-0", 5])
 
 
 def _objects(required: dict, optional: dict | None = None):
@@ -152,8 +152,7 @@ _edges = _objects({
     "tag": st.sampled_from(["bin", "tout", None, "side", 3]),
 })
 _documents = _objects(
-    {"nodes": st.lists(_nodes | _NOT_OBJECTS, max_size=4), "edges": st.lists(_edges, max_size=3)},
-    {},
+    {"nodes": st.lists(_nodes | _NOT_OBJECTS, max_size=4), "edges": st.lists(_edges, max_size=3)}
 )
 
 

@@ -181,8 +181,9 @@ def cli_runs():
         if s is not None
     ]
     malformed = [text for _name, text, _code in corpus.MALFORMED]
+    legacy = "--legacy-converging"
     for path in fixtures:
-        for flags in ([], ["--numbered"], ["--legacy-converging"], ["--numbered", "--legacy-converging"]):
+        for flags in ([], ["--numbered"], [legacy], ["--numbered", legacy]):
             yield run_cli(["encode", *flags, path])
         yield run_cli(["encode", path, "-o", "out"])
         yield run_cli(["encode", "-"], (ROOT / "tests" / "fixtures" / path).read_text("utf-8"))
@@ -200,7 +201,7 @@ def cli_runs():
         for cmd in ("decode", "canon"):
             for flags in ([], ["--lenient"], ["-o", "out"]):
                 yield run_cli([cmd, *flags, text])
-        for flags in (["--numbered"], ["--legacy-converging"]):
+        for flags in (["--numbered"], [legacy]):
             yield run_cli(["canon", *flags, text])
     for cmd in ("decode", "canon"):
         yield run_cli([cmd, *strings])
