@@ -12,7 +12,7 @@ import sys
 
 from .encode import GENERALIZED, NUMBERED, encode
 from .errors import EncodeError, GraphInvariantError, ParseError, SfilesError
-from .model import _json_doc, load_json, save_json
+from .model import _COMPACT, _json_bytes, load_json, save_json
 from .parse import parse, roundtrip_check
 from .validate import REGISTRY, check_graph
 
@@ -132,7 +132,7 @@ def _cmd_decode(args) -> int:
 
 def _json_line(graph) -> bytes:
     """The graph's ``save_json`` document on one compact line."""
-    return (json.dumps(_json_doc(graph), separators=(",", ":")) + "\n").encode("utf-8")
+    return _json_bytes(graph, _COMPACT)
 
 
 def _cmd_canon(args) -> int:

@@ -323,21 +323,37 @@ def load_json(
     return g
 
 
-def _json_doc(graph: FlowsheetGraph) -> dict:
-    """The JSON document of a graph, with nodes and edges in sorted order."""
-    return {
-        "nodes": [
-            {"name": name, "ctrl": graph.ctrl(name)} for name in sorted(graph.nodes())
-        ],
-        "edges": [
-            {"src": src, "dst": dst, "kind": attr.kind, "tag": attr.tag}
-            for src, dst, attr in sorted(
-                graph.edges(), key=lambda e: (e[0], e[1], e[2].kind)
-            )
-        ],
-    }
+# The document in two layouts, indented for save_json and compact for one
+# line: head, node row, middle, edge row, end of a non-empty list, tail.
+# No string needs escaping: names hold only ASCII letters, digits, "-" and
+# "/", control codes only capitals, and kinds and tags are fixed words.
+_INDENTED, _COMPACT = zip(
+    ('{\n  "nodes": [', '{"nodes":['),
+    ('\n    {\n      "name": "%s",\n      "ctrl": %s\n    }', '{"name":"%s","ctrl":%s}'),
+    (',\n  "edges": [', ',"edges":['),
+    ('\n    {\n      "src": "%s",\n      "dst": "%s",\n      "kind": "%s",\n      "tag": %s\n    }',
+     '{"src":"%s","dst":"%s","kind":"%s","tag":%s}'),
+    ("\n  ", ""),
+    ("\n}\n", "}\n"),
+)
+
+
+def _json_bytes(graph: FlowsheetGraph, layout: tuple[str, ...]) -> bytes:
+    """The graph's document in one layout: nodes by name, edges by (src, dst, kind)."""
+    head, node_row, middle, edge_row, close, tail = layout
+    nodes = graph._nodes
+    names = sorted(nodes)
+    rows = [node_row % (n, f'"{c}"' if (c := nodes[n].ctrl) else "null") for n in names]
+    parts = [head, ",".join(rows), close if rows else "", "]", middle]
+    rows = []
+    for src in names:
+        out = nodes[src].out
+        out = sorted(out, key=lambda e: (e[0], e[1].kind)) if len(out) > 1 else out
+        rows += [edge_row % (src, d, a.kind, f'"{a.tag}"' if a.tag else "null") for d, a in out]
+    parts += [",".join(rows), close if rows else "", "]", tail]
+    return "".join(parts).encode("ascii")
 
 
 def save_json(graph: FlowsheetGraph) -> bytes:
     """Serialize to the canonical byte form: sorted, indented, newline-terminated."""
-    return (json.dumps(_json_doc(graph), indent=2) + "\n").encode("utf-8")
+    return _json_bytes(graph, _INDENTED)

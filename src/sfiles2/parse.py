@@ -103,7 +103,8 @@ def tokenize(text: str) -> list[Token]:
     for m in _TOKEN_RE.finditer(text):
         i = m.lastindex
         kind, code = _TOKEN_KINDS[i]
-        out.append(Token(kind, m[i] if code is None else code, m.start(), m.end()))
+        # tuple.__new__ builds the Token in C, past the NamedTuple's Python __new__.
+        out.append(tuple.__new__(Token, (kind, m[i] if code is None else code, m.start(), m.end())))
     return out
 
 
