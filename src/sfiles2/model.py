@@ -323,10 +323,9 @@ def load_json(
     return g
 
 
-# The document in two layouts, indented for save_json and compact for one
-# line: head, node row, middle, edge row, end of a non-empty list, tail.
-# No string needs escaping: names hold only ASCII letters, digits, "-" and
-# "/", control codes only capitals, and kinds and tags are fixed words.
+# Both layouts of the document, indented (save_json) and compact (one line): head,
+# node row, middle, edge row, end of a non-empty list, tail.  Nothing is escaped: names
+# are ASCII letters, digits, "-" and "/", control codes capitals, kinds and tags fixed words.
 _INDENTED, _COMPACT = zip(
     ('{\n  "nodes": [', '{"nodes":['),
     ('\n    {\n      "name": "%s",\n      "ctrl": %s\n    }', '{"name":"%s","ctrl":%s}'),

@@ -15,7 +15,7 @@ import corpus
 import lex_oracle
 from test_golden import GOLDEN
 from test_properties import _CHARS, _FRAGMENTS, texts
-from sfiles2 import tokenize
+from sfiles2 import Token, tokenize
 
 
 def _tuples(tokens):
@@ -23,7 +23,10 @@ def _tuples(tokens):
 
 
 def _check(text):
-    assert _tuples(tokenize(text)) == _tuples(lex_oracle.tokenize(text)), text
+    tokens = tokenize(text)
+    # A tuple subclass with other fields would still compare equal below.
+    assert all(type(t) is Token for t in tokens), text
+    assert _tuples(tokens) == _tuples(lex_oracle.tokenize(text)), text
 
 
 @settings(max_examples=1000, deadline=None)

@@ -9,6 +9,7 @@ import pytest
 
 import corpus
 import genflow
+import json_oracle
 from sfiles2 import (
     MATERIAL,
     SIGNAL,
@@ -20,6 +21,7 @@ from sfiles2 import (
     load_json,
     save_json,
 )
+from sfiles2.cli import _json_line
 
 FIXDIR = Path(__file__).parent / "fixtures"
 
@@ -444,6 +446,46 @@ SCHEMA_ERRORS = [
         None,
     ),
 ]
+
+
+def _assert_writes_like_the_reference(g: FlowsheetGraph) -> None:
+    assert save_json(g) == json_oracle.save_json(g)
+    assert _json_line(g) == json_oracle.json_line(g)
+
+
+_WRITER_CASES = {
+    "empty": ([], []),
+    "control-code": (["raw-1", "v-1", "prod-1", ("C-1", "FC")], [
+        ("raw-1", "v-1"), ("v-1", "prod-1"), ("C-1", "v-1", {"kind": SIGNAL}),
+    ]),
+    "column-tags": (["raw-1", "raw-2", "dist-1", "prod-1", "prod-2"], [
+        ("raw-1", "dist-1", {"tag": "bin"}), ("raw-2", "dist-1", {"tag": "tin"}),
+        ("dist-1", "prod-1", {"tag": "bout"}), ("dist-1", "prod-2", {"tag": "tout"}),
+    ]),
+    "material-and-signal-on-one-pair": (["v-1", "v-2"], [
+        ("v-1", "v-2", {"kind": SIGNAL}), ("v-1", "v-2"),
+    ]),
+    "both-directions": (["v-1", "v-2"], [("v-2", "v-1"), ("v-1", "v-2")]),
+    "name-order": (["hex-2", "hex-10", "hex-1/2", "raw-1"], [
+        ("hex-1/2", "hex-2"), ("hex-1/2", "hex-10"), ("raw-1", "hex-2"),
+        ("raw-1", "hex-1/2"), ("hex-10", "hex-2"), ("hex-2", "hex-10"),
+    ]),
+}
+
+
+class TestJsonWriter:
+    """save_json and the compact decode line against the json.dumps reference."""
+
+    @pytest.mark.parametrize("nodes, edges", _WRITER_CASES.values(), ids=list(_WRITER_CASES))
+    def test_explicit_cases(self, nodes, edges):
+        _assert_writes_like_the_reference(corpus.build(nodes, edges))
+
+    def test_fixtures_and_corpus_graphs(self):
+        graphs = [f.make() for f in corpus.FIXTURES]
+        graphs += [corpus.without_signals(g) for g in graphs]
+        graphs += [corpus.chain(30), corpus.trains(4, 3), corpus.exchanger_loop(8)]
+        for g in graphs:
+            _assert_writes_like_the_reference(g)
 
 
 @pytest.mark.parametrize(

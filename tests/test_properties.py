@@ -23,11 +23,13 @@ from hypothesis import strategies as st
 import canon_oracle
 import corpus
 import encode_oracle
+import json_oracle
 from sfiles2 import (
     GENERALIZED, NUMBERED, EncodeError, FlowsheetGraph, GraphInvariantError, NodeRef, SchemaError,
-    encode, load_json, parse, tokenize,
+    encode, load_json, parse, save_json, tokenize,
 )
 from sfiles2.canon import _Index, _reach_counts, morgan_iterate, rank_components
+from sfiles2.cli import _json_line
 from sfiles2.model import COLUMN_TAGS, CTRL_RE, EDGE_KINDS, MATERIAL
 from sfiles2.validate import REGISTRY
 
@@ -127,6 +129,7 @@ def test_encodings_match_the_reference(g):
     for mode in (GENERALIZED, NUMBERED):
         assert str(encode(g, mode)) == encode_oracle.encode(g, mode)
     assert _legacy(encode, g) == _legacy(encode_oracle.encode, g)
+    assert (save_json(g), _json_line(g)) == (json_oracle.save_json(g), json_oracle.json_line(g))
 
 
 # Parts of graph documents, valid and not, for the loader property.
