@@ -94,7 +94,7 @@ def _batch(args, items: list[str], convert, named: bool = True) -> int:
     """Convert every item to bytes, then write them all to ``-o`` or stdout.
 
     The first failure writes nothing and returns its exit code; its error
-    line names the item when ``named``."""
+    line names the item when ``named``.  An unwritable ``-o`` gives exit 2."""
     chunks: list[bytes] = []
     for item in items:
         try:
@@ -107,8 +107,12 @@ def _batch(args, items: list[str], convert, named: bool = True) -> int:
                 return EXIT_INVARIANT
             return EXIT_SCHEMA
     if args.output:
-        with open(args.output, "wb") as fh:
-            fh.writelines(chunks)
+        try:
+            with open(args.output, "wb") as fh:
+                fh.writelines(chunks)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_SCHEMA
     else:
         sys.stdout.write(b"".join(chunks).decode("utf-8"))
     return EXIT_OK

@@ -367,6 +367,22 @@ def test_a_failure_after_a_good_item_writes_nothing(argv, code, to_file, tmp_pat
     assert not target.exists()
 
 
+_ONE_GOOD_ITEM = {
+    "encode": ["encode", fixture_path("absorber")],
+    "decode": ["decode", _GOOD.numbered],
+    "canon": ["canon", _GOOD.numbered],
+}
+
+
+@pytest.mark.parametrize("argv", _ONE_GOOD_ITEM.values(), ids=list(_ONE_GOOD_ITEM))
+def test_an_unwritable_output_file_is_schema_exit(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "out"
+    assert main([*argv, "-o", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+
 def test_module_entrypoint_runs_as_subprocess():
     f = corpus.fixture("absorber")
     proc = subprocess.run(
