@@ -11,6 +11,7 @@ equal size are ordered by their strings, next to the string code in
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import count, groupby
 from operator import add, itemgetter
@@ -430,9 +431,21 @@ def rank_components(ix: _Index) -> list[list[int]]:
     Components come in the order of their first node in the graph; the
     canonical component order is ``encode``'s job.
     """
+    comps = ix.components()
+    # Equally sized components share one Morgan run per exact adjacency.
+    sizes = Counter(map(len, comps)) if len(comps) > 1 else {}
+    morgans: dict[tuple, tuple[list[int], list[int]]] = {}  # by local adjacency
     ranked = []
-    for comp in ix.components():
-        perm, peak, _best, _iteration = _morgan(ix, comp)
+    for comp in comps:
+        if sizes.get(len(comp), 0) > 1:
+            local = {i: p for p, i in enumerate(comp)}
+            key = tuple([tuple([local[j] for j in ix.nbrs[i]]) for i in comp])
+            if key not in morgans:
+                perm, peak, _best, _iteration = _morgan(ix, comp)
+                morgans[key] = [local[i] for i in perm], peak
+            perm, peak = [comp[p] for p in morgans[key][0]], morgans[key][1]
+        else:
+            perm, peak, _best, _iteration = _morgan(ix, comp)
         by_value = groupby(sorted(zip(peak, perm)), key=itemgetter(0))
         ranked.append(break_ties(ix, [[i for _value, i in run] for _value, run in by_value]))
     return ranked

@@ -308,7 +308,7 @@ def _plans(ix: _Index, nodes_only: bool = False) -> list:
     Components are emitted largest first.  Equal sizes are ordered by
     ``component_string``, and inside a run of equal strings by the
     numbered string, which names every unit and so tells any two
-    components apart.
+    components apart.  Each ``_shape`` is planned and keyed once.
     """
     by_size: dict[int, list[list[int]]] = {}
     for comp in rank_components(ix):
@@ -318,15 +318,37 @@ def _plans(ix: _Index, nodes_only: bool = False) -> list:
     for size in sorted(by_size, reverse=True):
         group = by_size[size]
         if len(group) > 1:
-            plans = [traverse(ix, comp) for comp in group]
-            keys = [component_string(ix, plan) for plan in plans]
+            plans = None if nodes_only else [traverse(ix, comp) for comp in group]
+            # Per shape: its string, and its parts with local positions for node ids.
+            shapes: dict[tuple, tuple[str, list[object]]] = {}
+            keys = []
+            for k, comp in enumerate(group):
+                local = {i: p for p, i in enumerate(comp)}
+                shape = _shape(ix, comp, local)
+                if shape not in shapes:
+                    text, parts = component_string(ix, plans[k] if plans else traverse(ix, comp))
+                    shapes[shape] = text, [p if type(p) is str else local[p] for p in parts]
+                keys.append(shapes[shape])
             runs = Counter(text for text, _parts in keys)
-            key = [(t, _render(ix, p, NUMBERED) if runs[t] > 1 else "") for t, p in keys]
-            chosen = group if nodes_only else plans
+            key = [(t, _render(ix, [p if type(p) is str else comp[p] for p in parts], NUMBERED)
+                    if runs[t] > 1 else "") for (t, parts), comp in zip(keys, group)]
+            chosen = plans or group
             final += [chosen[k] for k in sorted(range(len(group)), key=key.__getitem__)]
         else:
             final.append(group[0] if nodes_only else traverse(ix, group[0]))
     return final
+
+
+def _shape(ix: _Index, comp: list[int], local: dict[int, int]) -> tuple:
+    """All that ``component_string`` reads of a ranked component, with
+    ``local`` positions for node ids: equal shapes write equal strings."""
+    shells: dict[tuple[str, int], int] = {}  # equipment: its first unit here
+    return tuple([
+        (ix.cats[i], ix.ctrl[i], tuple(sorted([(local[j], t) for j, t in ix.mat_out[i]])),
+         not ix.mat_in[i], tuple(sorted([local[j] for j in ix.sig_out[i] if j in local])),
+         shells.setdefault(ix.refs[i].equipment, p) if i in ix.partners else -1)
+        for p, i in enumerate(comp)
+    ])
 
 
 def component_string(ix: _Index, plan: EmissionPlan) -> tuple[str, list[object]]:

@@ -344,11 +344,13 @@ def _json_bytes(graph: FlowsheetGraph, layout: tuple[str, ...]) -> bytes:
     names = sorted(nodes)
     rows = [node_row % (n, f'"{c}"' if (c := nodes[n].ctrl) else "null") for n in names]
     parts = [head, ",".join(rows), close if rows else "", "]", middle]
-    rows = []
-    for src in names:
-        out = nodes[src].out
-        out = sorted(out, key=lambda e: (e[0], e[1].kind)) if len(out) > 1 else out
-        rows += [edge_row % (src, d, a.kind, f'"{a.tag}"' if a.tag else "null") for d, a in out]
+    outs = [nodes[src].out for src in names]
+    outs = [sorted(out, key=lambda e: (e[0], e[1].kind)) if len(out) > 1 else out for out in outs]
+    rows = [
+        edge_row % (src, d, a.kind, f'"{a.tag}"' if a.tag else "null")
+        for src, out in zip(names, outs)
+        for d, a in out
+    ]
     parts += [",".join(rows), close if rows else "", "]", tail]
     return "".join(parts).encode("ascii")
 

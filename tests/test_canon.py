@@ -424,17 +424,29 @@ class TestLazyStages:
             assert sorted(planned) == sorted(canon_oracle._components(graph))
 
     @pytest.mark.parametrize(
-        "graph", [g for g, _tied in _PLANNED] + [_MIXED_TRAINS], ids=_PLANNED_IDS + ["mixed_trains"]
+        "graph, shapes",
+        [(g, shapes) for (g, _tied), shapes in zip(_PLANNED, (1, 1, 0))] + [(_MIXED_TRAINS, 2)],
+        ids=_PLANNED_IDS + ["mixed_trains"],
     )
-    def test_rank_graph_plans_only_components_of_a_shared_size(self, monkeypatch, graph):
+    def test_rank_graph_plans_only_components_of_a_shared_size(self, monkeypatch, graph, shapes):
         # Ranking needs a plan only to order equally sized components,
-        # and keys each of them once.
-        sizes = Counter(len(comp) for comp in canon_oracle._components(graph))
-        shared = sum(n for n in sizes.values() if n > 1)
+        # and plans and keys one member of each distinct shape among them.
         planned = _count_calls(monkeypatch, encode_module, "traverse")
         keyed = _count_calls(monkeypatch, encode_module, "component_string")
         rank_graph(graph)
-        assert planned[0] == keyed[0] == shared
+        assert planned[0] == keyed[0] == shapes
+
+    @pytest.mark.parametrize(
+        "graph, morgans",
+        [(g, morgans) for (g, _tied), morgans in zip(_PLANNED, (1, 1, 2))] + [(_MIXED_TRAINS, 1)],
+        ids=_PLANNED_IDS + ["mixed_trains"],
+    )
+    def test_morgan_runs_once_per_adjacency_of_a_shared_size(self, monkeypatch, graph, morgans):
+        # Equally sized components with one material adjacency share a
+        # Morgan run; a component of a size of its own has its own.
+        calls = _count_calls(monkeypatch, canon, "_morgan")
+        rank_graph(graph)
+        assert calls[0] == morgans
 
     @pytest.mark.parametrize(
         "graph, tied",
