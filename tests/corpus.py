@@ -416,3 +416,25 @@ def exchanger_loop(exchangers: int) -> FlowsheetGraph:
         a, b, c = names[i], names[i + 1], names[(i + 2) % exchangers]
         edges += [(a, b), (b, a), (b, c)]
     return build(names, edges)
+
+
+def controlled_trains() -> FlowsheetGraph:
+    """Two ``raw -> v -> prod`` trains, each valve driven by its own
+    ``(C){FC}``: the two controllers are equal one-unit components."""
+    return build(
+        ["raw-1", "v-1", "prod-1", "raw-2", "v-2", "prod-2", ("C-1", "FC"), ("C-2", "FC")],
+        [("raw-1", "v-1"), ("v-1", "prod-1"), ("raw-2", "v-2"), ("v-2", "prod-2")]
+        + [("C-1", "v-1", {"kind": "signal"}), ("C-2", "v-2", {"kind": "signal"})],
+    )
+
+
+def shell_trains() -> FlowsheetGraph:
+    """Two identical ``raw -> hex -> prod`` trains whose exchangers share
+    their shells with two identical ``raw -> hex -> pp -> prod`` trains."""
+    nodes, edges = [], []
+    for t in (1, 2):
+        short = [f"raw-{t}", f"hex-{t}/1", f"prod-{t}"]
+        long = [f"raw-{t + 2}", f"hex-{t}/2", f"pp-{t}", f"prod-{t + 2}"]
+        nodes += short + long
+        edges += list(zip(short, short[1:])) + list(zip(long, long[1:]))
+    return build(nodes, edges)

@@ -11,8 +11,9 @@ traversal path.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
-from sfiles2 import FlowsheetGraph
+from sfiles2 import FlowsheetGraph, GraphInvariantError
 
 _CHAIN = ["hex", "pp", "v", "r", "comp", "flash", "blwr"]
 
@@ -181,4 +182,74 @@ def renumber_randomly(g: FlowsheetGraph, rng: random.Random) -> FlowsheetGraph:
         out.add_node(rename(n), ctrl=g.ctrl(n))
     for src, dst, attr in edges:
         out.add_edge(rename(src), rename(dst), kind=attr.kind, tag=attr.tag)
+    return out
+
+
+def repeat_component(
+    g: FlowsheetGraph,
+    comp: list[str],
+    copies: int,
+    rng: random.Random,
+    *,
+    signals: int = 0,
+    shells: bool = False,
+    interleave: bool = False,
+) -> FlowsheetGraph:
+    """``copies`` renumbered copies of the units ``comp`` of ``g`` and the
+    edges among them, as one graph.
+
+    Every copy takes fresh numbers in every category.  With ``shells``,
+    each exchanger of ``comp`` puts the copies into random buckets, and
+    the copies in one bucket share one shell as its sub-units.  Nodes and
+    edges go in in one shuffled order, copy after copy, or with
+    ``interleave`` all copies mixed.  Then ``signals`` attempts each add a
+    signal edge from a unit of one copy to a unit of another.
+    """
+    refs = {n: g.node_ref(n) for n in comp}
+    # (copy, equipment) -> (equipment, bucket); a bucket of two or more
+    # copies is one shared shell.
+    owner = {}
+    for equipment in sorted({ref.equipment for ref in refs.values()}):
+        shared = shells and equipment[0] == "hex"
+        for c in range(copies):
+            owner[c, equipment] = equipment, rng.randrange(copies) if shared else c
+    members = Counter(owner.values())
+    number = {}
+    for category in sorted({ref.category for ref in refs.values()}):
+        keys = sorted(key for key in members if key[0][0] == category)
+        number.update(zip(keys, rng.sample(range(1, 3 * len(keys) + 1), len(keys))))
+    subs: Counter = Counter()
+    names = {}
+    for c in range(copies):
+        for n in sorted(comp):
+            ref = refs[n]
+            key = owner[c, ref.equipment]
+            if members[key] > 1:
+                subs[key] += 1
+                names[c, n] = f"hex-{number[key]}/{subs[key]}"
+            else:
+                sub = "" if ref.sub is None else f"/{ref.sub}"
+                names[c, n] = f"{ref.category}-{number[key]}{sub}"
+
+    inside = set(comp)
+    order = sorted(comp)
+    rng.shuffle(order)
+    edges = [(s, d, a) for s, d, a in g.edges() if s in inside and d in inside]
+    rng.shuffle(edges)
+    node_items = [(c, n) for c in range(copies) for n in order]
+    edge_items = [(c, e) for c in range(copies) for e in edges]
+    if interleave:
+        rng.shuffle(node_items)
+        rng.shuffle(edge_items)
+    out = FlowsheetGraph()
+    for c, n in node_items:
+        out.add_node(names[c, n], ctrl=g.ctrl(n))
+    for c, (src, dst, attr) in edge_items:
+        out.add_edge(names[c, src], names[c, dst], kind=attr.kind, tag=attr.tag)
+    for _ in range(signals):
+        a, b = rng.sample(range(copies), 2)
+        try:
+            out.add_edge(names[a, rng.choice(order)], names[b, rng.choice(order)], kind="signal")
+        except GraphInvariantError:
+            pass  # a duplicate
     return out

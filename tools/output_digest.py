@@ -8,8 +8,12 @@ converging form, the ``rank_graph`` table and the ``roundtrip_check``
 report, each one or the text of the ``EncodeError`` it raised; then the
 strict and the lenient ``parse`` of each string it wrote.  The graphs are
 the corpus fixtures, 400 seeded genflow plants with a renumbered copy
-each, and every graph of the benchmark's ``plants``, ``scaled`` and
-``decode_long`` inputs at seed 1.  It also parses every ``decode_long``
+each, every graph of the benchmark's ``plants``, ``scaled`` and
+``decode_long`` inputs at seed 1, 2-5 renumbered copies of each
+component of the first 200 of those plants, some joined by signals
+between copies or sharing exchanger shells across copies
+(``genflow.repeat_component``), and ``corpus.controlled_trains`` and
+``corpus.shell_trains``.  It also parses every ``decode_long``
 text at seed 1 (truncations and ``corpus.MALFORMED`` included) and 20,000
 seeded joins of ``corpus.FRAGMENTS``.  A parse is hashed as the graph's
 ``save_json`` (or None) and each diagnostic's level, code, message, start
@@ -39,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
 
+import canon_oracle  # noqa: E402
 import corpus  # noqa: E402
 import gen  # noqa: E402
 import genflow  # noqa: E402
@@ -69,6 +74,15 @@ def graphs():
     for text in gen.decode_long(1, corpus.MALFORMED):
         if text.spec is not None:
             yield _build(text.spec)
+    rng = random.Random(7)
+    for g in plants[:200]:
+        for comp in canon_oracle._components(g):
+            yield genflow.repeat_component(
+                g, comp, rng.randint(2, 5), rng, signals=rng.randint(0, 3),
+                shells=rng.random() < 0.5, interleave=rng.random() < 0.5,
+            )
+    yield corpus.controlled_trains()
+    yield corpus.shell_trains()
 
 
 def texts():
