@@ -341,11 +341,12 @@ def _plans(ix: _Index, nodes_only: bool = False) -> list:
 
 def _shape(ix: _Index, comp: list[int], local: dict[int, int]) -> tuple:
     """All that ``component_string`` reads of a ranked component, with
-    ``local`` positions for node ids: equal shapes write equal strings."""
+    ``local`` positions for node ids, so equal shapes write equal strings.
+    Material inlets come from the component's own outlets."""
     shells: dict[tuple[str, int], int] = {}  # equipment: its first unit here
     return tuple([
         (ix.cats[i], ix.ctrl[i], tuple(sorted([(local[j], t) for j, t in ix.mat_out[i]])),
-         not ix.mat_in[i], tuple(sorted([local[j] for j in ix.sig_out[i] if j in local])),
+         tuple(sorted([local[j] for j in ix.sig_out[i] if j in local])),
          shells.setdefault(ix.refs[i].equipment, p) if i in ix.partners else -1)
         for p, i in enumerate(comp)
     ])

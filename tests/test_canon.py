@@ -281,6 +281,35 @@ class TestAgainstReference:
             got = [[ix.names[i] for i in order] for order in rank_components(ix)]
             assert got == canon_oracle.rank_components(g)
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # Equal neighbor counts in component order, other adjacencies.
+            corpus.build(
+                ["r-1", "hex-2", "v-3", "hex-4", "hex-5"]
+                + ["r-11", "hex-12", "hex-13", "hex-14", "r-15"],
+                [("r-1", "hex-2"), ("v-3", "r-1"), ("hex-4", "hex-2"), ("hex-5", "hex-2")]
+                + [("hex-5", "r-1"), ("r-11", "hex-12"), ("hex-12", "hex-14")]
+                + [("hex-12", "r-11"), ("hex-13", "r-11"), ("hex-13", "r-15")],
+            ),
+            # Equal neighbor sets, but one pair is joined both ways.
+            corpus.build(
+                ["raw-1", "v-1", "pp-1", "hex-1", "prod-1", "raw-2", "v-2", "pp-2", "hex-2"]
+                + ["prod-2"],
+                [("raw-1", "v-1"), ("v-1", "pp-1"), ("pp-1", "hex-1"), ("hex-1", "pp-1")]
+                + [("hex-1", "prod-1"), ("raw-2", "v-2"), ("v-2", "pp-2"), ("pp-2", "hex-2")]
+                + [("hex-2", "prod-2")],
+            ),
+        ],
+        ids=["degrees", "multiplicity"],
+    )
+    def test_equal_sizes_keep_their_own_morgan_values(self, g):
+        # Equally sized components share a Morgan run only when their
+        # material adjacencies are the same.
+        ix = _Index(g)
+        got = [[ix.names[i] for i in order] for order in rank_components(ix)]
+        assert got == canon_oracle.rank_components(g)
+
 
 class TestSnapshot:
     """``_Index`` holds every edge once at each end, under its kind, with its tag."""

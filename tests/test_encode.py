@@ -220,6 +220,57 @@ def test_train_separator_between_components():
     assert right.startswith("(hex)")
 
 
+_SIGNAL = {"kind": "signal"}
+
+
+@pytest.mark.parametrize(
+    "graph, expected",
+    [
+        (
+            corpus.build(
+                ["raw-1", "v-1", "prod-1", "raw-2", "v-2", "prod-2"],
+                [("raw-1", "v-1"), ("v-1", "prod-1"), ("raw-1", "prod-1", _SIGNAL)]
+                + [("raw-2", "v-2"), ("v-2", "prod-2")],
+            ),
+            "(raw)(v)(prod)n|(raw)_1(v)(prod)<_1",
+        ),
+        (
+            corpus.build(
+                ["raw-1", "hex-1/1", "hex-2/1", "prod-1", "raw-2", "hex-3/1", "hex-3/2", "prod-2"]
+                + ["raw-3", "hex-1/2", "hex-2/2", "pp-1", "prod-3"],
+                [("raw-1", "hex-1/1"), ("hex-1/1", "hex-2/1"), ("hex-2/1", "prod-1")]
+                + [("raw-2", "hex-3/1"), ("hex-3/1", "hex-3/2"), ("hex-3/2", "prod-2")]
+                + [("raw-3", "hex-1/2"), ("hex-1/2", "hex-2/2"), ("hex-2/2", "pp-1")]
+                + [("pp-1", "prod-3")],
+            ),
+            "(raw)(hex){1}(hex){2}(pp)(prod)n|(raw)(hex){3}(hex){3}(prod)n|"
+            "(raw)(hex){1}(hex){2}(prod)",
+        ),
+        (
+            corpus.build(
+                ["raw-1", "v-1", "prod-1", ("C-1", "LC"), "raw-2", "v-2", "prod-2", ("C-2", "FC")],
+                [("raw-1", "v-1"), ("v-1", "prod-1"), ("v-1", "C-1")]
+                + [("raw-2", "v-2"), ("v-2", "prod-2"), ("v-2", "C-2")],
+            ),
+            "(raw)(v)[(C){FC}](prod)n|(raw)(v)[(C){LC}](prod)",
+        ),
+        (
+            corpus.build(
+                ["raw-1", "dist-1", "prod-1", "raw-2", "dist-2", "prod-2"],
+                [("raw-1", "dist-1"), ("dist-1", "prod-1", {"tag": "tout"})]
+                + [("raw-2", "dist-2"), ("dist-2", "prod-2", {"tag": "bout"})],
+            ),
+            "(raw)(dist){bout}(prod)n|(raw)(dist){tout}(prod)",
+        ),
+    ],
+    ids=["signal_inside", "shells", "control_code", "tag"],
+)
+def test_equal_sizes_that_differ_in_one_detail_key_apart(graph, expected):
+    # The first component is keyed first.  Were the shape of the second
+    # taken for the first's, their strings would tie and names would order them.
+    assert str(encode(graph)) == expected
+
+
 def test_long_chain_encodes_without_recursion_limit():
     g = corpus.chain(2000)
     s = encode(g)

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import canon_oracle
 import corpus
 import encode_oracle
+import genflow
 import json_oracle
 from sfiles2 import (
     GENERALIZED, NUMBERED, EncodeError, FlowsheetGraph, GraphInvariantError, NodeRef, SchemaError,
@@ -130,6 +131,35 @@ def test_encodings_match_the_reference(g):
         assert str(encode(g, mode)) == encode_oracle.encode(g, mode)
     assert _legacy(encode, g) == _legacy(encode_oracle.encode, g)
     assert (save_json(g), _json_line(g)) == (json_oracle.save_json(g), json_oracle.json_line(g))
+
+
+@st.composite
+def repeated_components(draw):
+    """2-5 renumbered copies of one component of a ``flowsheets()`` graph,
+    inserted in shuffled order, perhaps joined by signals between copies
+    and sharing exchanger shells across copies."""
+    g = draw(flowsheets())
+    comp = draw(st.sampled_from(canon_oracle._components(g)))
+    return genflow.repeat_component(
+        g, comp, draw(st.integers(2, 5)), draw(st.randoms(use_true_random=False)),
+        signals=draw(st.integers(0, 4)), shells=draw(st.booleans()),
+        interleave=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_components())
+@example(corpus.controlled_trains())
+@example(corpus.shell_trains())
+def test_repeated_components_match_the_reference(g):
+    # Copies share one Morgan run and one keyed shape wherever their
+    # structure allows; every ranking and string stays the reference's.
+    ix = _Index(g)
+    ranked = [[ix.names[i] for i in comp] for comp in rank_components(ix)]
+    assert ranked == canon_oracle.rank_components(g)
+    for mode in (GENERALIZED, NUMBERED):
+        assert str(encode(g, mode)) == encode_oracle.encode(g, mode)
+    assert _legacy(encode, g) == _legacy(encode_oracle.encode, g)
 
 
 # Parts of graph documents, valid and not, for the loader property.
