@@ -41,6 +41,20 @@ _DESC_CODE = {
         )
     )
 }
+# Refinement codes of incidence entries, a material edge's by its tag.
+_OUT_MAT = {t: _DESC_CODE["out", MATERIAL, t or ""] for t in TAG_RANK}
+_IN_MAT = {t: _DESC_CODE["in", MATERIAL, t or ""] for t in TAG_RANK}
+_OUT_SIG, _IN_SIG = _DESC_CODE["out", SIGNAL, ""], _DESC_CODE["in", SIGNAL, ""]
+_GRP = _DESC_CODE["grp", "", ""]
+
+# Tie-break descriptors are (neighbor category, direction, tag rank, kind)
+# tuples.  With the category as its rank among the snapshot's categories,
+# one packs into the int ``20 * category + 10 * out + 2 * (tag + 1) + kind``,
+# which sorts like the tuple: "in" sorts before "out", tag ranks run from
+# -1 to 3 and signals (kind 1) carry no tag.
+_OUT_TAG = {t: 10 + 2 * (r + 1) for t, r in TAG_RANK.items()}
+_IN_TAG = {t: 2 * (r + 1) for t, r in TAG_RANK.items()}
+_OUT_SIGNAL, _IN_SIGNAL = 11, 1
 
 
 @dataclass
@@ -147,14 +161,15 @@ class _Index:
     every material edge ``i -> j`` and ``j -> i``, ``nbrs[i]`` the ``j``
     of both, and ``sig_out[i]`` and ``sig_in[i]`` the neighbor ``j`` of
     every signal edge.  ``partners`` maps each exchanger sub-unit that
-    shares its shell with another to all the shell's members.  ``reach``
-    and ``colors`` are filled in by ``break_ties`` when it first needs
-    them.  The graph is mutable, so a snapshot lives for one encoding only.
+    shares its shell with another to all the shell's members.  ``reach``,
+    ``cat_ranks`` and ``colors`` are filled in by ``break_ties`` when it
+    first needs them.  The graph is mutable, so a snapshot lives for one
+    encoding only.
     """
 
     __slots__ = (
         "names", "refs", "cats", "ctrl", "mat_out", "mat_in", "nbrs", "sig_out", "sig_in",
-        "partners", "reach", "colors",
+        "partners", "reach", "cat_ranks", "colors",
     )
 
     def __init__(self, graph: FlowsheetGraph):
@@ -185,6 +200,7 @@ class _Index:
                 shells.setdefault(ref.number, []).append(i)
         self.partners = {i: shell for shell in shells.values() if len(shell) > 1 for i in shell}
         self.reach: list[int] | None = None
+        self.cat_ranks: list[int] | None = None
         self.colors: list[int] | None = None
 
     def components(self) -> list[list[int]]:
@@ -225,30 +241,32 @@ def _refine(ix: _Index) -> list[int]:
     exchanger elsewhere in the plant is part of the drawing, so a
     grouped unit must never tie with an otherwise identical lone one.
 
-    Rounds are synchronous, and each one yields the classes and the
-    class order that re-sorting every node would.  A class is an
-    interval of the color order and colors by its first position, so a
-    split never moves another class and descriptors only compare
-    positions.  A round re-keys only the nodes next to a node that
-    changed class in the previous round, plus one untouched member per
-    touched class to stand for the rest, whose descriptors cannot have
-    changed.  The largest part of a split keeps its class, so a node
-    changes class only when its class at least halves, and the whole
-    refinement costs O((n + m) log n) descriptor entries.
+    The incidence table is built in one pass over the material and
+    signal out-lists, entering each edge at both of its ends, and one
+    over the shared shells.  Rounds are synchronous, and each one yields
+    the classes and the class order that re-sorting every node would.  A
+    class is an interval of the color order and colors by its first
+    position, so a split never moves another class and descriptors only
+    compare positions.  A round re-keys only the nodes next to a node
+    that changed class in the previous round, plus one untouched member
+    per touched class to stand for the rest, whose descriptors cannot
+    have changed.  The largest part of a split keeps its class, so a
+    node changes class only when its class at least halves, and the
+    whole refinement costs O((n + m) log n) descriptor entries.
     """
     n = len(ix.names)
     # Per node: (code * n, j) for every incident edge and partner j.
-    code = {key: c * n for key, c in _DESC_CODE.items()}
-    out_sig, in_sig, grp = code["out", SIGNAL, ""], code["in", SIGNAL, ""], code["grp", "", ""]
-    out_mat, in_mat = ({t: code[d, MATERIAL, t or ""] for t in TAG_RANK} for d in ("out", "in"))
-    inc = [
-        [(out_mat[t], j) for j, t in ix.mat_out[i]]
-        + [(in_mat[t], j) for j, t in ix.mat_in[i]]
-        + [(out_sig, j) for j in ix.sig_out[i]]
-        + [(in_sig, j) for j in ix.sig_in[i]]
-        + [(grp, j) for j in ix.partners.get(i, ()) if j != i]
-        for i in range(n)
-    ]
+    inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, edges in enumerate(ix.mat_out):
+        for j, t in edges:
+            inc[i].append((_OUT_MAT[t] * n, j))
+            inc[j].append((_IN_MAT[t] * n, i))
+    for i, peers in enumerate(ix.sig_out):
+        for j in peers:
+            inc[i].append((_OUT_SIG * n, j))
+            inc[j].append((_IN_SIG * n, i))
+    for i, shell in ix.partners.items():
+        inc[i] += [(_GRP * n, j) for j in shell if j != i]
 
     # Classes: first position in the color order, and members.
     start: list[int] = []
@@ -370,14 +388,24 @@ def _reach_counts(ix: _Index) -> list[int]:
     return [reach[c].bit_count() - 1 for c in comp_of]
 
 
-def _descriptor(ix: _Index, i: int) -> tuple[str, str, list[tuple[str, str, int, int]]]:
-    cats = ix.cats
-    descs = [(cats[j], "out", TAG_RANK[t], 0) for j, t in ix.mat_out[i]]
-    descs += [(cats[j], "in", TAG_RANK[t], 0) for j, t in ix.mat_in[i]]
-    # Signals carry no tag and sort after material edges.
-    descs += [(cats[j], "out", -1, 1) for j in ix.sig_out[i]]
-    descs += [(cats[j], "in", -1, 1) for j in ix.sig_in[i]]
-    return cats[i], ix.ctrl[i], sorted(descs)
+def _category_ranks(ix: _Index) -> list[int]:
+    """Each node's category rank among the snapshot's categories in string
+    order, times 20: the base of its packed descriptor entries."""
+    rank = {cat: 20 * r for r, cat in enumerate(sorted(set(ix.cats)))}
+    return [rank[cat] for cat in ix.cats]
+
+
+def _descriptor(ix: _Index, i: int) -> tuple[str, str, list[int]]:
+    """Node ``i``'s category, control code and the sorted (neighbor
+    category, direction, tag rank, kind) of every incident edge, each
+    packed into one int that sorts like the tuple.  Reads ``cat_ranks``."""
+    base = ix.cat_ranks
+    descs = [base[j] + _OUT_TAG[t] for j, t in ix.mat_out[i]]
+    descs += [base[j] + _IN_TAG[t] for j, t in ix.mat_in[i]]
+    descs += [base[j] + _OUT_SIGNAL for j in ix.sig_out[i]]
+    descs += [base[j] + _IN_SIGNAL for j in ix.sig_in[i]]
+    descs.sort()
+    return ix.cats[i], ix.ctrl[i], descs
 
 
 def _staged(ix: _Index, members: list[int], stage: int = 0) -> list[int]:
@@ -391,6 +419,8 @@ def _staged(ix: _Index, members: list[int], stage: int = 0) -> list[int]:
             ix.reach = _reach_counts(ix)
         key = [0 if prio < 2 else -ix.reach[i] if prio == 2 else ix.reach[i] for i in members]
     elif stage == 2:
+        if ix.cat_ranks is None:
+            ix.cat_ranks = _category_ranks(ix)
         key = [_descriptor(ix, i) for i in members]
     elif stage == 3:
         if ix.colors is None:
@@ -414,10 +444,12 @@ def break_ties(ix: _Index, classes: list[list[int]]) -> list[int]:
     descriptor, refined color and equipment number, each stage keying
     only members that tie on every stage before it.  The descriptor is
     the node's category and control code and the sorted (neighbor
-    category, direction, tag rank, kind) of every incident edge.  So
-    reach is counted only for two tied ``raw`` units or two tied units
-    outside ``C``, ``prod`` and ``raw``, and colors only for two members
-    equal up to their descriptors, each at most once per ranking.
+    category, direction, tag rank, kind) of every incident edge, each
+    packed into one int over the snapshot's category ranks.  So reach is
+    counted only for two tied ``raw`` units or two tied units outside
+    ``C``, ``prod`` and ``raw``, the category ranks only once two members
+    reach the descriptor, and colors only for two members equal up to
+    their descriptors, each at most once per ranking.
     """
     order: list[int] = []
     for cls in classes:

@@ -3,6 +3,7 @@
 import importlib
 import random
 from collections import Counter
+from itertools import groupby
 
 import pytest
 
@@ -226,6 +227,17 @@ def _isolated_units() -> list[FlowsheetGraph]:
     return graphs
 
 
+def _dense_ranks(keys: list) -> list[int]:
+    """Each key's place among the distinct keys in sorted order: equal
+    results mean the same order and the same equal runs."""
+    ranks = [0] * len(keys)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    for r, (_key, run) in enumerate(groupby(order, key=keys.__getitem__)):
+        for i in run:
+            ranks[i] = r
+    return ranks
+
+
 ORACLE_FAMILIES = {
     "corpus": lambda: [f.make() for f in corpus.FIXTURES],
     "genflow": lambda: _plants(150),
@@ -251,6 +263,18 @@ class TestAgainstReference:
             want = {n: canon_oracle._successor_count(g, n) for n in g.nodes()}
             ix = _Index(g)
             assert dict(zip(ix.names, _reach_counts(ix))) == want
+
+    @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+    def test_descriptors_sort_like_the_reference_keys(self, family):
+        # Packed descriptors order every unit as the tuple keys do.
+        graphs = ORACLE_FAMILIES[family]()
+        rng = random.Random(29)
+        for g in graphs + [genflow.renumber_randomly(g, rng) for g in graphs]:
+            ix = _Index(g)
+            ix.cat_ranks = canon._category_ranks(ix)
+            got = [canon._descriptor(ix, i) for i in range(len(ix.names))]
+            want = [canon_oracle._step3_key(g, n) for n in ix.names]
+            assert _dense_ranks(got) == _dense_ranks(want)
 
     @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
     def test_morgan_values(self, family):
@@ -434,6 +458,24 @@ class TestLazyStages:
         calls = _count_calls(monkeypatch, canon, "_reach_counts")
         rank_graph(graph)
         assert calls[0] == reaches
+
+    @pytest.mark.parametrize(
+        "graph, builds",
+        [
+            (corpus.chain(50), 0),
+            (corpus.trains(5, 3), 0),
+            (corpus.exchanger_loop(8), 1),
+            (corpus.exchanger_loop(64), 1),
+        ],
+        ids=["chain", "trains", "exchanger_loop_8", "exchanger_loop_64"],
+    )
+    def test_category_ranks_only_for_descriptors(self, monkeypatch, graph, builds):
+        # Descriptors read the category rank table, built on the first
+        # tie that reaches them and kept for the rest of the ranking.
+        # Priority parts the units of a raw -> v -> prod train first.
+        calls = _count_calls(monkeypatch, canon, "_category_ranks")
+        rank_graph(graph)
+        assert calls[0] == builds
 
     @pytest.mark.parametrize("graph", [g for g, _tied in _PLANNED], ids=_PLANNED_IDS)
     def test_each_tied_component_is_planned_once(self, monkeypatch, graph):

@@ -29,7 +29,9 @@ from sfiles2 import (
     GENERALIZED, NUMBERED, EncodeError, FlowsheetGraph, GraphInvariantError, NodeRef, SchemaError,
     encode, load_json, parse, save_json, tokenize,
 )
-from sfiles2.canon import _Index, _reach_counts, morgan_iterate, rank_components
+from sfiles2.canon import (
+    _category_ranks, _descriptor, _Index, _reach_counts, _refine, morgan_iterate, rank_components,
+)
 from sfiles2.cli import _json_line
 from sfiles2.model import COLUMN_TAGS, CTRL_RE, EDGE_KINDS, MATERIAL
 from sfiles2.validate import REGISTRY
@@ -110,6 +112,14 @@ def test_ranking_stages_match_the_reference(g, data):
     ranked = [[names[i] for i in comp] for comp in rank_components(ix)]
     assert ranked == canon_oracle.rank_components(g)
     assert _reach_counts(ix) == [canon_oracle._successor_count(g, n) for n in names]
+    # Signals, column tags and shared shells: every kind of incidence entry.
+    assert dict(zip(names, _refine(ix))) == canon_oracle._refine_colors(g)
+    # Packed descriptors compare pairwise as the tuple keys do.
+    ix.cat_ranks = _category_ranks(ix)
+    got = [_descriptor(ix, i) for i in range(len(names))]
+    want = [canon_oracle._step3_key(g, n) for n in names]
+    pairs = [(a < b, a == b) for a in got for b in got]
+    assert pairs == [(a < b, a == b) for a in want for b in want]
     assert morgan_iterate(g) == canon_oracle.morgan_iterate(g)
     nodes = data.draw(st.lists(st.sampled_from(names), min_size=0, unique=True))
     assert morgan_iterate(g, nodes) == canon_oracle.morgan_iterate(g, nodes)
