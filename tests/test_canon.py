@@ -3,7 +3,6 @@
 import importlib
 import random
 from collections import Counter
-from itertools import groupby
 
 import pytest
 
@@ -227,17 +226,6 @@ def _isolated_units() -> list[FlowsheetGraph]:
     return graphs
 
 
-def _dense_ranks(keys: list) -> list[int]:
-    """Each key's place among the distinct keys in sorted order: equal
-    results mean the same order and the same equal runs."""
-    ranks = [0] * len(keys)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    for r, (_key, run) in enumerate(groupby(order, key=keys.__getitem__)):
-        for i in run:
-            ranks[i] = r
-    return ranks
-
-
 ORACLE_FAMILIES = {
     "corpus": lambda: [f.make() for f in corpus.FIXTURES],
     "genflow": lambda: _plants(150),
@@ -266,7 +254,8 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
     def test_descriptors_sort_like_the_reference_keys(self, family):
-        # Packed descriptors order every unit as the tuple keys do.
+        # Packed descriptors compare pairwise as the tuple keys do, so
+        # sorting by either gives one order and the same equal runs.
         graphs = ORACLE_FAMILIES[family]()
         rng = random.Random(29)
         for g in graphs + [genflow.renumber_randomly(g, rng) for g in graphs]:
@@ -274,7 +263,8 @@ class TestAgainstReference:
             ix.cat_ranks = canon._category_ranks(ix)
             got = [canon._descriptor(ix, i) for i in range(len(ix.names))]
             want = [canon_oracle._step3_key(g, n) for n in ix.names]
-            assert _dense_ranks(got) == _dense_ranks(want)
+            pairs = [(a < b, a == b) for a in got for b in got]
+            assert pairs == [(a < b, a == b) for a in want for b in want]
 
     @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
     def test_morgan_values(self, family):
