@@ -457,13 +457,14 @@ def break_ties(ix: _Index, classes: list[list[int]]) -> list[int]:
     return order
 
 
-def rank_components(ix: _Index) -> list[list[int]]:
-    """Every material component's node ids in rank order, lowest rank first.
+def rank_components(ix: _Index, comps: list[list[int]]) -> list[list[int]]:
+    """Each of ``comps``, material components of ``ix``, as its node ids in
+    rank order, lowest rank first.
 
-    Components come in the order of their first node in the graph; the
-    canonical component order is ``encode``'s job.
+    Components keep the order they are given in; the canonical component
+    order is ``encode``'s job, and so is leaving out the components whose
+    emission makes no choice (``encode._walk``).
     """
-    comps = ix.components()
     # Equally sized components share one Morgan run per exact adjacency.
     sizes = Counter(map(len, comps)) if len(comps) > 1 else {}
     morgans: dict[tuple, tuple[list[int], list[int]]] = {}  # by local adjacency

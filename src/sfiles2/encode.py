@@ -2,7 +2,11 @@
 
 An encoding reads the graph once, into one ``canon._Index``.  Ranking,
 planning and rendering work on its integer node ids and look a name up
-only to write it into a numbered string.
+only to write it into a numbered string.  As in SMILES, ranks only pick
+where a walk starts and which branch comes first.  So a forced
+component, a path from its one feed with no branch and no signal
+(``_walk``), writes the same bytes in any rank order: it is planned in
+walk order and never ranked.
 
 Emission runs in two passes.  ``traverse`` plans the DFS forest of one
 ranked component: tree edges become the written chain, back and repeated
@@ -305,13 +309,19 @@ def _plans(ix: _Index, nodes_only: bool = False) -> list:
     """Every component's plan, components in emission order; with
     ``nodes_only``, its node ids in rank order, planned only to be ordered.
 
+    A component whose emission makes no choice is planned from its units
+    in ``_walk`` order and never ranked; ``nodes_only`` ranks every one.
     Components are emitted largest first.  Equal sizes are ordered by
     ``component_string``, and inside a run of equal strings by the
     numbered string, which names every unit and so tells any two
     components apart.  Each ``_shape`` is planned and keyed once.
     """
+    comps = ix.components()
+    walks = [None] * len(comps) if nodes_only else [_walk(ix, comp) for comp in comps]
+    ranked = iter(rank_components(ix, [comp for comp, walk in zip(comps, walks) if not walk]))
     by_size: dict[int, list[list[int]]] = {}
-    for comp in rank_components(ix):
+    for walk in walks:
+        comp = walk or next(ranked)
         by_size.setdefault(len(comp), []).append(comp)
 
     final: list = []
@@ -337,6 +347,26 @@ def _plans(ix: _Index, nodes_only: bool = False) -> list:
         else:
             final.append(group[0] if nodes_only else traverse(ix, group[0]))
     return final
+
+
+def _walk(ix: _Index, comp: list[int]) -> list[int] | None:
+    """``comp``'s units in walk order from its feed, if ``comp`` is forced,
+    else ``None``.
+
+    A component is forced when exactly one of its units has no material
+    inlet, none has more than one material outlet and none has a signal
+    edge.  It is then a path from that feed, which may end in one recycle
+    back into itself: every unit is on the walk, ``traverse`` and
+    ``_write`` never compare two of its units, and no other unit's marks
+    sort on its positions.  So any rank order writes the same bytes.
+    """
+    mat_out, mat_in, sig_out, sig_in = ix.mat_out, ix.mat_in, ix.sig_out, ix.sig_in
+    walk = [i for i in comp if not mat_in[i]]
+    if len(walk) != 1 or any(len(mat_out[i]) > 1 or sig_out[i] or sig_in[i] for i in comp):
+        return None
+    for _ in range(len(comp) - 1):
+        walk.append(mat_out[walk[-1]][0][0])
+    return walk
 
 
 def _shape(ix: _Index, comp: list[int], local: dict[int, int]) -> tuple:

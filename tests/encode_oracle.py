@@ -269,7 +269,7 @@ def _ranked(ix: _Index) -> list[list[int]]:
     which names every unit and so differs between any two components.
     """
     by_size: dict[int, list[list[int]]] = {}
-    for comp in rank_components(ix):
+    for comp in rank_components(ix, ix.components()):
         by_size.setdefault(len(comp), []).append(comp)
 
     final: list[list[int]] = []

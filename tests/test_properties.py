@@ -109,7 +109,7 @@ def test_numbered_string_parses_back_to_the_graph(g):
 def test_ranking_stages_match_the_reference(g, data):
     ix = _Index(g)
     names = ix.names
-    ranked = [[names[i] for i in comp] for comp in rank_components(ix)]
+    ranked = [[names[i] for i in comp] for comp in rank_components(ix, ix.components())]
     assert ranked == canon_oracle.rank_components(g)
     assert _reach_counts(ix) == [canon_oracle._successor_count(g, n) for n in names]
     # Signals, column tags and shared shells: every kind of incidence entry.
@@ -165,7 +165,7 @@ def test_repeated_components_match_the_reference(g):
     # Copies share one Morgan run and one keyed shape wherever their
     # structure allows; every ranking and string stays the reference's.
     ix = _Index(g)
-    ranked = [[ix.names[i] for i in comp] for comp in rank_components(ix)]
+    ranked = [[ix.names[i] for i in comp] for comp in rank_components(ix, ix.components())]
     assert ranked == canon_oracle.rank_components(g)
     for mode in (GENERALIZED, NUMBERED):
         assert str(encode(g, mode)) == encode_oracle.encode(g, mode)
