@@ -428,6 +428,24 @@ def controlled_trains() -> FlowsheetGraph:
     )
 
 
+def half_controlled_trains() -> FlowsheetGraph:
+    """Two ``raw -> v -> prod`` trains, only the second valve driven by a
+    ``(C){FC}``: equal component strings, and one train is forced (a path
+    from its feed with no signal) while the other is not."""
+    return build(
+        ["raw-1", "v-1", "prod-1", "raw-2", "v-2", "prod-2", ("C-1", "FC")],
+        [("raw-1", "v-1"), ("v-1", "prod-1"), ("raw-2", "v-2"), ("v-2", "prod-2")]
+        + [("C-1", "v-2", {"kind": "signal"})],
+    )
+
+
+def lollipop() -> FlowsheetGraph:
+    """``raw -> v -> pp -> hex`` with the recycle ``hex -> v``: a path from
+    its feed that ends in a recycle back into itself."""
+    names = ["raw-1", "v-1", "pp-1", "hex-1"]
+    return build(names, list(zip(names, names[1:])) + [("hex-1", "v-1")])
+
+
 def shell_trains() -> FlowsheetGraph:
     """Two identical ``raw -> hex -> prod`` trains whose exchangers share
     their shells with two identical ``raw -> hex -> pp -> prod`` trains."""

@@ -391,6 +391,25 @@ _TIED_FEEDS = corpus.build(
 )
 
 
+# (graph, its ``_morgan``, ``break_ties``, ``_reach_counts`` and ``_refine``
+# calls in ``rank_graph``, and in encoding it in both modes).  Encoding
+# ranks no forced component: one feed, no branch and no signal.
+_FORCED = [
+    (corpus.chain(50), (1, 1, 1, 0), (0, 0, 0, 0)),
+    (corpus.trains(5, 3), (1, 5, 1, 0), (0, 0, 0, 0)),
+    (corpus.build(["v-1"], []), (1, 1, 0, 0), (0, 0, 0, 0)),
+    (corpus.lollipop(), (1, 1, 1, 0), (0, 0, 0, 0)),
+    (corpus.shell_trains(), (2, 4, 1, 0), (0, 0, 0, 0)),
+    (corpus.exchanger_loop(8), (1, 1, 1, 1), (2, 2, 2, 2)),
+    (_TIED_PRODUCTS, (1, 1, 0, 1), (2, 2, 0, 2)),
+    (corpus.controlled_trains(), (2, 4, 0, 0), (4, 8, 0, 0)),
+    (corpus.half_controlled_trains(), (2, 3, 0, 0), (4, 4, 0, 0)),
+]
+_FORCED_IDS = [
+    "chain", "trains", "one_unit", "lollipop", "shell_trains", "exchanger_loop", "splitter",
+    "controlled_trains", "half_controlled_trains",
+]
+
 # (graph, components inside runs of equal generalized strings)
 _PLANNED = [
     (corpus.trains(5, 3), 5),
@@ -508,6 +527,20 @@ class TestLazyStages:
         calls = _count_calls(monkeypatch, canon, "_morgan")
         rank_graph(graph)
         assert calls[0] == morgans
+
+    @pytest.mark.parametrize("graph, ranked, encoded", _FORCED, ids=_FORCED_IDS)
+    def test_encoding_ranks_no_forced_component(self, monkeypatch, graph, ranked, encoded):
+        # A forced component writes the same bytes in any rank order, so
+        # encoding plans it in walk order; ``rank_graph`` ranks it.
+        stages = ("_morgan", "break_ties", "_reach_counts", "_refine")
+        calls = [_count_calls(monkeypatch, canon, name) for name in stages]
+        rank_graph(graph)
+        assert tuple(c[0] for c in calls) == ranked
+        for c in calls:
+            c[0] = 0
+        for mode in ("generalized", "numbered"):
+            encode(graph, mode)
+        assert tuple(c[0] for c in calls) == encoded
 
     @pytest.mark.parametrize(
         "graph, tied",

@@ -8,13 +8,16 @@ from its first character to its last.
 Whatever graph the model accepts, its numbered string parses back to
 the same graph without a diagnostic, the ranking stages return what the
 reference copies in ``canon_oracle`` return, and every encoding is what
-the reference copy in ``encode_oracle`` writes.
+the reference copy in ``encode_oracle`` writes.  A graph of forced
+components, which encoding never ranks, encodes to the same generalized
+string under any renumbering.
 
 Whatever bytes or graph document it is given, ``load_json`` returns a
 graph or raises ``SchemaError`` or ``GraphInvariantError``, nothing else.
 """
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +36,7 @@ from sfiles2.canon import (
     _category_ranks, _descriptor, _Index, _reach_counts, _refine, morgan_iterate, rank_components,
 )
 from sfiles2.cli import _json_line
+from sfiles2.encode import _walk
 from sfiles2.model import COLUMN_TAGS, CTRL_RE, EDGE_KINDS, MATERIAL
 from sfiles2.validate import REGISTRY
 
@@ -105,8 +109,10 @@ def test_numbered_string_parses_back_to_the_graph(g):
 
 
 @settings(max_examples=300, deadline=None)
-@given(flowsheets(), st.data())
-def test_ranking_stages_match_the_reference(g, data):
+@given(flowsheets())
+# The one corpus graph whose colors a shared exchanger shell decides.
+@example(corpus.fixture("refrigeration_cycle").make())
+def test_ranking_stages_match_the_reference(g):
     ix = _Index(g)
     names = ix.names
     ranked = [[names[i] for i in comp] for comp in rank_components(ix, ix.components())]
@@ -121,7 +127,12 @@ def test_ranking_stages_match_the_reference(g, data):
     pairs = [(a < b, a == b) for a in got for b in got]
     assert pairs == [(a < b, a == b) for a in want for b in want]
     assert morgan_iterate(g) == canon_oracle.morgan_iterate(g)
-    nodes = data.draw(st.lists(st.sampled_from(names), min_size=0, unique=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(flowsheets(), st.data())
+def test_morgan_on_a_node_subset_matches_the_reference(g, data):
+    nodes = data.draw(st.lists(st.sampled_from(g.nodes()), unique=True))
     assert morgan_iterate(g, nodes) == canon_oracle.morgan_iterate(g, nodes)
 
 
@@ -134,6 +145,16 @@ def _legacy(encoder, g) -> str:
 
 @settings(max_examples=300, deadline=None)
 @given(flowsheets())
+# Forced components, planned unranked, and components that are ranked.
+@example(corpus.chain(50))
+@example(corpus.trains(5, 3))
+@example(corpus.build(["v-1"], []))
+@example(corpus.lollipop())
+@example(corpus.shell_trains())
+@example(corpus.exchanger_loop(8))
+@example(corpus.fixture("reactor_recycle_plant").make())
+@example(corpus.controlled_trains())
+@example(corpus.half_controlled_trains())
 def test_encodings_match_the_reference(g):
     # Components of one size that carry signals or share a shell reach
     # the ordering by strings here, beyond what the golden file holds.
@@ -141,6 +162,56 @@ def test_encodings_match_the_reference(g):
         assert str(encode(g, mode)) == encode_oracle.encode(g, mode)
     assert _legacy(encode, g) == _legacy(encode_oracle.encode, g)
     assert (save_json(g), _json_line(g)) == (json_oracle.save_json(g), json_oracle.json_line(g))
+
+
+@st.composite
+def forced_flowsheets(draw):
+    """1-4 forced components: pipes from one feed with no branch and no
+    signal, each perhaps ending in a recycle back into itself.  Units of
+    every registry category (C units with codes), column tags, and
+    exchanger sub-units that share a shell only within their pipe."""
+    g = FlowsheetGraph()
+    numbers: Counter = Counter()  # the last number given, per category
+    inner = sorted(set(REGISTRY) - {"raw", "prod"}) + ["hex"] * 8  # so that shells are shared
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(1, 6))
+        cats = [draw(st.sampled_from(inner + ["raw"]))]
+        cats += [draw(st.sampled_from(inner)) for _ in range(size - 2)]
+        cats += [draw(st.sampled_from(inner + ["prod"]))] if size > 1 else []
+        pipe, shell, subs = [], None, 0  # this pipe's shared exchanger shell
+        for category in cats:
+            if category == "hex" and draw(st.booleans()):
+                if shell is None:
+                    numbers["hex"] += 1
+                    shell = numbers["hex"]
+                subs += 1
+                ref = NodeRef("hex", shell, subs)
+            else:
+                numbers[category] += 1
+                ref = NodeRef(category, numbers[category])
+            ctrl = draw(st.from_regex(CTRL_RE, fullmatch=True)) if category == "C" else None
+            g.add_node(ref, ctrl)
+            pipe.append(ref.name)
+        for src, dst in zip(pipe, pipe[1:]):
+            g.add_edge(src, dst, MATERIAL, draw(st.sampled_from((None, *COLUMN_TAGS))))
+        if len(pipe) > 2 and cats[-1] != "prod" and draw(st.booleans()):
+            tag = draw(st.sampled_from((None, *COLUMN_TAGS)))
+            g.add_edge(pipe[-1], draw(st.sampled_from(pipe[1:-1])), MATERIAL, tag)
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(forced_flowsheets(), st.randoms(use_true_random=False))
+def test_forced_encodings_survive_renumbering(g, rng):
+    # A forced component is planned in walk order, never ranked, and
+    # writes the same bytes as the ranked reference in either mode.
+    ix = _Index(g)
+    assert all(_walk(ix, comp) for comp in ix.components())
+    for mode in (GENERALIZED, NUMBERED):
+        assert str(encode(g, mode)) == encode_oracle.encode(g, mode)
+    text = str(encode(g))
+    for _ in range(5):
+        assert str(encode(genflow.renumber_randomly(g, rng))) == text
 
 
 @st.composite
