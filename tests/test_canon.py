@@ -394,7 +394,7 @@ _TIED_FEEDS = corpus.build(
 # (graph, its ``_morgan``, ``break_ties``, ``_reach_counts`` and ``_refine``
 # calls in ``rank_graph``, and in encoding it in both modes).  Encoding
 # ranks no forced component: one feed, no branch and no signal.
-_FORCED = [
+_RANKING_CALLS = [
     (corpus.chain(50), (1, 1, 1, 0), (0, 0, 0, 0)),
     (corpus.trains(5, 3), (1, 5, 1, 0), (0, 0, 0, 0)),
     (corpus.build(["v-1"], []), (1, 1, 0, 0), (0, 0, 0, 0)),
@@ -405,7 +405,7 @@ _FORCED = [
     (corpus.controlled_trains(), (2, 4, 0, 0), (4, 8, 0, 0)),
     (corpus.half_controlled_trains(), (2, 3, 0, 0), (4, 4, 0, 0)),
 ]
-_FORCED_IDS = [
+_RANKING_CALLS_IDS = [
     "chain", "trains", "one_unit", "lollipop", "shell_trains", "exchanger_loop", "splitter",
     "controlled_trains", "half_controlled_trains",
 ]
@@ -528,7 +528,7 @@ class TestLazyStages:
         rank_graph(graph)
         assert calls[0] == morgans
 
-    @pytest.mark.parametrize("graph, ranked, encoded", _FORCED, ids=_FORCED_IDS)
+    @pytest.mark.parametrize("graph, ranked, encoded", _RANKING_CALLS, ids=_RANKING_CALLS_IDS)
     def test_encoding_ranks_no_forced_component(self, monkeypatch, graph, ranked, encoded):
         # A forced component writes the same bytes in any rank order, so
         # encoding plans it in walk order; ``rank_graph`` ranks it.
