@@ -11,7 +11,6 @@ equal size are ordered by their strings, next to the string code in
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import count, groupby
 from operator import add, itemgetter
@@ -457,28 +456,10 @@ def break_ties(ix: _Index, classes: list[list[int]]) -> list[int]:
     return order
 
 
-def rank_components(ix: _Index, comps: list[list[int]]) -> list[list[int]]:
-    """Each of ``comps``, material components of ``ix``, as its node ids in
-    rank order, lowest rank first.
-
-    Components keep the order they are given in; the canonical component
-    order is ``encode``'s job, and so is leaving out the components whose
-    emission makes no choice (``encode._walk``).
-    """
-    # Equally sized components share one Morgan run per exact adjacency.
-    sizes = Counter(map(len, comps)) if len(comps) > 1 else {}
-    morgans: dict[tuple, tuple[list[int], list[int]]] = {}  # by local adjacency
-    ranked = []
-    for comp in comps:
-        if sizes.get(len(comp), 0) > 1:
-            local = {i: p for p, i in enumerate(comp)}
-            key = tuple([tuple([local[j] for j in ix.nbrs[i]]) for i in comp])
-            if key not in morgans:
-                perm, peak, _best, _iteration = _morgan(ix, comp)
-                morgans[key] = [local[i] for i in perm], peak
-            perm, peak = [comp[p] for p in morgans[key][0]], morgans[key][1]
-        else:
-            perm, peak, _best, _iteration = _morgan(ix, comp)
-        by_value = groupby(sorted(zip(peak, perm)), key=itemgetter(0))
-        ranked.append(break_ties(ix, [[i for _value, i in run] for _value, run in by_value]))
-    return ranked
+def rank_component(ix: _Index, comp: list[int]) -> list[int]:
+    """``comp``, a material component of ``ix``, as its node ids in rank
+    order, lowest rank first, whatever order ``comp`` is in: one Morgan
+    run, its peak values grouped into classes, flattened by ``break_ties``."""
+    perm, peak, _best, _iteration = _morgan(ix, comp)
+    by_value = groupby(sorted(zip(peak, perm)), key=itemgetter(0))
+    return break_ties(ix, [[i for _value, i in run] for _value, run in by_value])

@@ -6,18 +6,19 @@ only to write it into a numbered string.  As in SMILES, ranks only pick
 where a walk starts and which branch comes first.  So a forced
 component, a path from its one feed with no branch and no signal
 (``_walk``), writes the same bytes in any rank order: it is planned in
-walk order and never ranked.
+walk order, and only ``rank_graph`` ranks it.
 
 Emission runs in two passes.  ``traverse`` plans the DFS forest of one
 ranked component: tree edges become the written chain, back and repeated
 edges become numbered recycle pairs, and the first edge from a new tree
 into already written material becomes that tree's converging insertion
-point.  ``_plans`` plans each component once and orders equally sized
-ones by ``component_string``; ``_join`` strings the plans
-together and places every mark.  ``emit`` walks the joined plan once,
-writing each mark as text when it reaches it: recycle and equipment-group
-ids count up by first textual appearance, signal ids in the order of
-their out-marks (``_n``).  Nodes stay ids until the parts are joined.
+point.  ``_plans`` ranks and plans each component once and orders
+equally sized ones by ``component_string``, for encoding and
+``rank_graph`` alike; ``_join`` strings the plans together and places
+every mark.  ``emit`` walks the joined plan once, writing each mark as
+text when it reaches it: recycle and equipment-group ids count up by
+first textual appearance, signal ids in the order of their out-marks
+(``_n``).  Nodes stay ids until the parts are joined.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .canon import RankTable, _Index, rank_components
+from .canon import RankTable, _Index, rank_component
 from .errors import EncodeError
 from .model import FlowsheetGraph
 
@@ -299,53 +300,50 @@ def _encode_both(graph: FlowsheetGraph) -> tuple[SfilesString, SfilesString]:
 
 
 def rank_graph(graph: FlowsheetGraph) -> RankTable:
-    """Rank every node 1..n within its component and order the components."""
+    """Rank every node 1..n within its component and order the components.
+
+    Both come from ``_plans``, except that a forced component, planned
+    in walk order, is ranked here.
+    """
     ix = _Index(graph)
-    order = [[ix.names[i] for i in comp] for comp in _plans(ix, nodes_only=True)]
+    ranked = [rank_component(ix, p.nodes) if _walk(ix, p.nodes) else p.nodes for p in _plans(ix)]
+    order = [[ix.names[i] for i in comp] for comp in ranked]
     return RankTable({name: r for comp in order for r, name in enumerate(comp, 1)}, order)
 
 
-def _plans(ix: _Index, nodes_only: bool = False) -> list:
-    """Every component's plan, components in emission order; with
-    ``nodes_only``, its node ids in rank order, planned only to be ordered.
+def _plans(ix: _Index) -> list[EmissionPlan]:
+    """Every component's plan, components in emission order.
 
     A component whose emission makes no choice is planned from its units
-    in ``_walk`` order and never ranked; ``nodes_only`` ranks every one.
-    Components are emitted largest first.  Equal sizes are ordered by
-    ``component_string``, and inside a run of equal strings by the
-    numbered string, which names every unit and so tells any two
-    components apart.  Each ``_shape`` is planned and keyed once.
+    in ``_walk`` order and never ranked.  Components are emitted largest
+    first.  Equal sizes are ordered by ``component_string``, and inside a
+    run of equal strings by the numbered string, which names every unit
+    and so tells any two components apart.  Each ``_shape`` is keyed once.
     """
-    comps = ix.components()
-    walks = [None] * len(comps) if nodes_only else [_walk(ix, comp) for comp in comps]
-    ranked = iter(rank_components(ix, [comp for comp, walk in zip(comps, walks) if not walk]))
-    by_size: dict[int, list[list[int]]] = {}
-    for walk in walks:
-        comp = walk or next(ranked)
-        by_size.setdefault(len(comp), []).append(comp)
+    by_size: dict[int, list[EmissionPlan]] = {}
+    for comp in ix.components():
+        comp = _walk(ix, comp) or rank_component(ix, comp)
+        by_size.setdefault(len(comp), []).append(traverse(ix, comp))
 
-    final: list = []
+    final: list[EmissionPlan] = []
     for size in sorted(by_size, reverse=True):
-        group = by_size[size]
-        if len(group) > 1:
-            plans = None if nodes_only else [traverse(ix, comp) for comp in group]
+        plans = by_size[size]
+        if len(plans) > 1:
             # Per shape: its string, and its parts with local positions for node ids.
             shapes: dict[tuple, tuple[str, list[object]]] = {}
             keys = []
-            for k, comp in enumerate(group):
-                local = {i: p for p, i in enumerate(comp)}
-                shape = _shape(ix, comp, local)
+            for plan in plans:
+                local = {i: p for p, i in enumerate(plan.nodes)}
+                shape = _shape(ix, plan.nodes, local)
                 if shape not in shapes:
-                    text, parts = component_string(ix, plans[k] if plans else traverse(ix, comp))
+                    text, parts = component_string(ix, plan)
                     shapes[shape] = text, [p if type(p) is str else local[p] for p in parts]
-                keys.append(shapes[shape])
-            runs = Counter(text for text, _parts in keys)
-            key = [(t, _render(ix, [p if type(p) is str else comp[p] for p in parts], NUMBERED)
-                    if runs[t] > 1 else "") for (t, parts), comp in zip(keys, group)]
-            chosen = plans or group
-            final += [chosen[k] for k in sorted(range(len(group)), key=key.__getitem__)]
-        else:
-            final.append(group[0] if nodes_only else traverse(ix, group[0]))
+                keys.append((*shapes[shape], plan.nodes))
+            runs = Counter(text for text, _parts, _nodes in keys)
+            key = [(t, _render(ix, [p if type(p) is str else nodes[p] for p in parts], NUMBERED)
+                    if runs[t] > 1 else "") for t, parts, nodes in keys]
+            plans = [plans[k] for k in sorted(range(len(plans)), key=key.__getitem__)]
+        final += plans
     return final
 
 

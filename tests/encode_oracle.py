@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from sfiles2.canon import _Index, rank_components
+from sfiles2.canon import _Index, rank_component
 from sfiles2.errors import EncodeError
 from sfiles2.model import FlowsheetGraph
 
@@ -269,7 +269,7 @@ def _ranked(ix: _Index) -> list[list[int]]:
     which names every unit and so differs between any two components.
     """
     by_size: dict[int, list[list[int]]] = {}
-    for comp in rank_components(ix, ix.components()):
+    for comp in [rank_component(ix, c) for c in ix.components()]:
         by_size.setdefault(len(comp), []).append(comp)
 
     final: list[list[int]] = []

@@ -5,7 +5,8 @@ enforces: feeds into processing chains, optional separators, bounded
 recycles back to a mixer or reactor, at most one multi stream exchanger
 group, and an optional control loop.  A minority of outputs are pure
 cycle plants with no feed at all, which exercises the cycle rooted
-traversal path.
+traversal path.  ``random_string`` writes a valid string of any graph
+from a random rank order, one that the ranking would not have chosen.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import random
 from collections import Counter
 
 from sfiles2 import FlowsheetGraph, GraphInvariantError
+from sfiles2.canon import _Index
+from sfiles2.encode import _join, _render, _write, traverse
 
 _CHAIN = ["hex", "pp", "v", "r", "comp", "flash", "blwr"]
 
@@ -253,3 +256,15 @@ def repeat_component(
         except GraphInvariantError:
             pass  # a duplicate
     return out
+
+
+def random_string(g: FlowsheetGraph, rng: random.Random, mode: str) -> str:
+    """A valid string of ``g`` that is not canonical in general: each
+    component's units, and the components, in a random order, planned
+    and written as an encoding plans and writes its ranked ones."""
+    ix = _Index(g)
+    comps = ix.components()
+    for comp in comps:
+        rng.shuffle(comp)
+    rng.shuffle(comps)
+    return _render(ix, _write(ix, _join(ix, [traverse(ix, c) for c in comps])), mode)

@@ -10,7 +10,7 @@ import canon_oracle
 import corpus
 import genflow
 from sfiles2 import FlowsheetGraph, canon, encode, rank_graph
-from sfiles2.canon import _Index, _reach_counts, _refine, morgan_iterate, rank_components
+from sfiles2.canon import _Index, _reach_counts, _refine, morgan_iterate, rank_component
 
 # The package's ``encode`` is the function; the module is needed here.
 encode_module = importlib.import_module("sfiles2.encode")
@@ -292,7 +292,7 @@ class TestAgainstReference:
         rng = random.Random(11)
         for g in graphs + [genflow.renumber_randomly(g, rng) for g in graphs]:
             ix = _Index(g)
-            got = [[ix.names[i] for i in order] for order in rank_components(ix, ix.components())]
+            got = [[ix.names[i] for i in rank_component(ix, c)] for c in ix.components()]
             assert got == canon_oracle.rank_components(g)
 
     @pytest.mark.parametrize(
@@ -318,10 +318,10 @@ class TestAgainstReference:
         ids=["degrees", "multiplicity"],
     )
     def test_equal_sizes_keep_their_own_morgan_values(self, g):
-        # Equally sized components share a Morgan run only when their
-        # material adjacencies are the same.
+        # Equally sized components that differ only in their material
+        # adjacencies each get their own Morgan values.
         ix = _Index(g)
-        got = [[ix.names[i] for i in order] for order in rank_components(ix, ix.components())]
+        got = [[ix.names[i] for i in rank_component(ix, c)] for c in ix.components()]
         assert got == canon_oracle.rank_components(g)
 
 
@@ -393,17 +393,18 @@ _TIED_FEEDS = corpus.build(
 
 # (graph, its ``_morgan``, ``break_ties``, ``_reach_counts`` and ``_refine``
 # calls in ``rank_graph``, and in encoding it in both modes).  Encoding
-# ranks no forced component: one feed, no branch and no signal.
+# ranks no forced component: one feed, no branch and no signal.  Every
+# other component is ranked once per encoding, with one Morgan run.
 _RANKING_CALLS = [
     (corpus.chain(50), (1, 1, 1, 0), (0, 0, 0, 0)),
-    (corpus.trains(5, 3), (1, 5, 1, 0), (0, 0, 0, 0)),
+    (corpus.trains(5, 3), (5, 5, 1, 0), (0, 0, 0, 0)),
     (corpus.build(["v-1"], []), (1, 1, 0, 0), (0, 0, 0, 0)),
     (corpus.lollipop(), (1, 1, 1, 0), (0, 0, 0, 0)),
-    (corpus.shell_trains(), (2, 4, 1, 0), (0, 0, 0, 0)),
+    (corpus.shell_trains(), (4, 4, 1, 0), (0, 0, 0, 0)),
     (corpus.exchanger_loop(8), (1, 1, 1, 1), (2, 2, 2, 2)),
     (_TIED_PRODUCTS, (1, 1, 0, 1), (2, 2, 0, 2)),
-    (corpus.controlled_trains(), (2, 4, 0, 0), (4, 8, 0, 0)),
-    (corpus.half_controlled_trains(), (2, 3, 0, 0), (4, 4, 0, 0)),
+    (corpus.controlled_trains(), (4, 4, 0, 0), (8, 8, 0, 0)),
+    (corpus.half_controlled_trains(), (3, 3, 0, 0), (4, 4, 0, 0)),
 ]
 _RANKING_CALLS_IDS = [
     "chain", "trains", "one_unit", "lollipop", "shell_trains", "exchanger_loop", "splitter",
@@ -504,29 +505,20 @@ class TestLazyStages:
             assert sorted(planned) == sorted(canon_oracle._components(graph))
 
     @pytest.mark.parametrize(
-        "graph, shapes",
-        [(g, shapes) for (g, _tied), shapes in zip(_PLANNED, (1, 1, 0))] + [(_MIXED_TRAINS, 2)],
+        "graph, planned, shapes",
+        [(g, *counts) for (g, _tied), counts in zip(_PLANNED, ((5, 1), (2, 1), (2, 0)))]
+        + [(_MIXED_TRAINS, 3, 2)],
         ids=_PLANNED_IDS + ["mixed_trains"],
     )
-    def test_rank_graph_plans_only_components_of_a_shared_size(self, monkeypatch, graph, shapes):
-        # Ranking needs a plan only to order equally sized components,
-        # and plans and keys one member of each distinct shape among them.
-        planned = _count_calls(monkeypatch, encode_module, "traverse")
+    def test_rank_graph_plans_only_components_of_a_shared_size(
+        self, monkeypatch, graph, planned, shapes
+    ):
+        # Ranking plans every component, as encoding does, and keys one
+        # member of each distinct shape among equally sized components.
+        traversed = _count_calls(monkeypatch, encode_module, "traverse")
         keyed = _count_calls(monkeypatch, encode_module, "component_string")
         rank_graph(graph)
-        assert planned[0] == keyed[0] == shapes
-
-    @pytest.mark.parametrize(
-        "graph, morgans",
-        [(g, morgans) for (g, _tied), morgans in zip(_PLANNED, (1, 1, 2))] + [(_MIXED_TRAINS, 1)],
-        ids=_PLANNED_IDS + ["mixed_trains"],
-    )
-    def test_morgan_runs_once_per_adjacency_of_a_shared_size(self, monkeypatch, graph, morgans):
-        # Equally sized components with one material adjacency share a
-        # Morgan run; a component of a size of its own has its own.
-        calls = _count_calls(monkeypatch, canon, "_morgan")
-        rank_graph(graph)
-        assert calls[0] == morgans
+        assert (traversed[0], keyed[0]) == (planned, shapes)
 
     @pytest.mark.parametrize("graph, ranked, encoded", _RANKING_CALLS, ids=_RANKING_CALLS_IDS)
     def test_encoding_ranks_no_forced_component(self, monkeypatch, graph, ranked, encoded):

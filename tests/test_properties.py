@@ -8,15 +8,19 @@ from its first character to its last.
 Whatever graph the model accepts, its numbered string parses back to
 the same graph without a diagnostic, the ranking stages return what the
 reference copies in ``canon_oracle`` return, and every encoding is what
-the reference copy in ``encode_oracle`` writes.  A graph of forced
-components, which encoding never ranks, encodes to the same generalized
-string under any renumbering.
+the reference copy in ``encode_oracle`` writes, and ``rank_graph``
+returns the reference's table.  A graph of forced components, which
+encoding never ranks, encodes to the same generalized string under any
+renumbering.  A numbered string written from any rank order
+(``genflow.random_string``) parses back to the same graph and
+re-encodes to the canonical string.
 
 Whatever bytes or graph document it is given, ``load_json`` returns a
 graph or raises ``SchemaError`` or ``GraphInvariantError``, nothing else.
 """
 
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -30,10 +34,10 @@ import genflow
 import json_oracle
 from sfiles2 import (
     GENERALIZED, NUMBERED, EncodeError, FlowsheetGraph, GraphInvariantError, NodeRef, SchemaError,
-    encode, load_json, parse, save_json, tokenize,
+    encode, load_json, parse, rank_graph, save_json, tokenize,
 )
 from sfiles2.canon import (
-    _category_ranks, _descriptor, _Index, _reach_counts, _refine, morgan_iterate, rank_components,
+    _category_ranks, _descriptor, _Index, _reach_counts, _refine, morgan_iterate, rank_component,
 )
 from sfiles2.cli import _json_line
 from sfiles2.encode import _walk
@@ -115,7 +119,7 @@ def test_numbered_string_parses_back_to_the_graph(g):
 def test_ranking_stages_match_the_reference(g):
     ix = _Index(g)
     names = ix.names
-    ranked = [[names[i] for i in comp] for comp in rank_components(ix, ix.components())]
+    ranked = [[names[i] for i in rank_component(ix, c)] for c in ix.components()]
     assert ranked == canon_oracle.rank_components(g)
     assert _reach_counts(ix) == [canon_oracle._successor_count(g, n) for n in names]
     # Signals, column tags and shared shells: every kind of incidence entry.
@@ -214,6 +218,18 @@ def test_forced_encodings_survive_renumbering(g, rng):
         assert str(encode(genflow.renumber_randomly(g, rng))) == text
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(flowsheets(), forced_flowsheets()), st.randoms(use_true_random=False))
+def test_rank_order_ignores_the_order_of_the_component(g, rng):
+    # ``rank_graph`` ranks a forced component from its walk order, the
+    # reference from ``components()`` order; the tables must agree.
+    ix = _Index(g)
+    for comp in ix.components():
+        ranked = rank_component(ix, comp)
+        rng.shuffle(comp)
+        assert rank_component(ix, comp) == ranked
+
+
 @st.composite
 def repeated_components(draw):
     """2-5 renumbered copies of one component of a ``flowsheets()`` graph,
@@ -233,14 +249,64 @@ def repeated_components(draw):
 @example(corpus.controlled_trains())
 @example(corpus.shell_trains())
 def test_repeated_components_match_the_reference(g):
-    # Copies share one Morgan run and one keyed shape wherever their
-    # structure allows; every ranking and string stays the reference's.
+    # Copies share one keyed shape wherever their structure allows;
+    # every ranking and string stays the reference's.
     ix = _Index(g)
-    ranked = [[ix.names[i] for i in comp] for comp in rank_components(ix, ix.components())]
+    ranked = [[ix.names[i] for i in rank_component(ix, c)] for c in ix.components()]
     assert ranked == canon_oracle.rank_components(g)
     for mode in (GENERALIZED, NUMBERED):
         assert str(encode(g, mode)) == encode_oracle.encode(g, mode)
     assert _legacy(encode, g) == _legacy(encode_oracle.encode, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(flowsheets(), repeated_components(), forced_flowsheets()))
+# Forced copies, ranked only here, and copies tied up to their strings.
+@example(corpus.controlled_trains())
+@example(corpus.half_controlled_trains())
+@example(corpus.shell_trains())
+@example(corpus.trains(5, 3))
+@example(corpus.lollipop())
+def test_rank_graph_matches_the_reference(g):
+    # The public table holds the reference's component order, and each
+    # unit's 1-based position in its component's rank order.
+    ix = _Index(g)
+    order = [[ix.names[i] for i in comp] for comp in encode_oracle._ranked(ix)]
+    table = rank_graph(g)
+    assert table.subgraph_order == order
+    assert table.rank == {name: r for comp in order for r, name in enumerate(comp, 1)}
+
+
+def _random_strings_parse_back(g, rng) -> None:
+    canonical = str(encode(g, NUMBERED))
+    for _ in range(5):
+        text = genflow.random_string(g, rng, NUMBERED)
+        back, diags = parse(text)
+        assert [(d.code, d.message) for d in diags.entries] == [], text
+        assert back == g, text
+        assert str(encode(back, NUMBERED)) == canonical, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(flowsheets(), repeated_components()), st.randoms(use_true_random=False))
+def test_random_numbered_strings_parse_back_to_the_graph(g, rng):
+    # Any rank order writes a valid numbered string of the same graph,
+    # and that string re-encodes to the canonical one.
+    _random_strings_parse_back(g, rng)
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [
+        lambda: [genflow.random_flowsheet(random.Random(seed)) for seed in range(200)],
+        lambda: [f.make() for f in corpus.FIXTURES],
+    ],
+    ids=["plants", "fixtures"],
+)
+def test_random_numbered_strings_parse_back(graphs):
+    rng = random.Random(3)
+    for g in graphs():
+        _random_strings_parse_back(g, rng)
 
 
 # Parts of graph documents, valid and not, for the loader property.

@@ -12,8 +12,10 @@ each, every graph of the benchmark's ``plants``, ``scaled`` and
 ``decode_long`` inputs at seed 1, 2-5 renumbered copies of each
 component of the first 200 of those plants, some joined by signals
 between copies or sharing exchanger shells across copies
-(``genflow.repeat_component``), and ``corpus.controlled_trains`` and
-``corpus.shell_trains``.  It also parses every ``decode_long``
+(``genflow.repeat_component``), ``corpus.controlled_trains``,
+``corpus.shell_trains``, ``corpus.half_controlled_trains`` and
+``corpus.lollipop``, and a renumbered copy of the first two
+(``genflow.renumber_randomly``).  It also parses every ``decode_long``
 text at seed 1 (truncations and ``corpus.MALFORMED`` included) and 20,000
 seeded joins of ``corpus.FRAGMENTS``.  A parse is hashed as the graph's
 ``save_json`` (or None) and each diagnostic's level, code, message, start
@@ -89,6 +91,11 @@ def graphs():
             )
     yield corpus.controlled_trains()
     yield corpus.shell_trains()
+    yield corpus.half_controlled_trains()
+    yield corpus.lollipop()
+    rng = random.Random(13)
+    yield genflow.renumber_randomly(corpus.controlled_trains(), rng)
+    yield genflow.renumber_randomly(corpus.shell_trains(), rng)
 
 
 def texts():
