@@ -164,6 +164,11 @@ class _Index:
     ``cat_ranks`` and ``colors`` are filled in by ``break_ties`` when it
     first needs them.  The graph is mutable, so a snapshot lives for one
     encoding only.
+
+    The snapshot reads each of the graph's node records
+    (``FlowsheetGraph._nodes``, same package) once, for its ref, control
+    code and out-list, in the order ``nodes()`` and ``edges()`` give
+    them, so every list is the one those queries would build.
     """
 
     __slots__ = (
@@ -172,31 +177,35 @@ class _Index:
     )
 
     def __init__(self, graph: FlowsheetGraph):
-        self.names = names = graph.nodes()
+        records = graph._nodes
+        self.names = names = list(records)
         pos = {name: i for i, name in enumerate(names)}
-        self.refs = refs = [graph.node_ref(name) for name in names]
-        self.cats = [ref.category for ref in refs]
-        self.ctrl = [graph.ctrl(name) or "" for name in names]
+        self.refs = refs = []
+        self.ctrl = ctrl = []
         self.mat_out = mat_out = [[] for _ in names]
         self.mat_in = mat_in = [[] for _ in names]
         self.nbrs = nbrs = [[] for _ in names]
         self.sig_out = sig_out = [[] for _ in names]
         self.sig_in = sig_in = [[] for _ in names]
-        for src, dst, attr in graph.edges():
-            i, j = pos[src], pos[dst]
-            if attr.kind == MATERIAL:
-                mat_out[i].append((j, attr.tag))
-                mat_in[j].append((i, attr.tag))
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-            else:
-                sig_out[i].append(j)
-                sig_in[j].append(i)
         # Only exchanger sub-units share equipment: other names are unique.
         shells: dict[int, list[int]] = {}
-        for i, ref in enumerate(refs):
+        for i, node in enumerate(records.values()):
+            ref = node.ref
+            refs.append(ref)
+            ctrl.append(node.ctrl or "")
             if ref.sub is not None:
                 shells.setdefault(ref.number, []).append(i)
+            for dst, attr in node.out:
+                j = pos[dst]
+                if attr.kind == MATERIAL:
+                    mat_out[i].append((j, attr.tag))
+                    mat_in[j].append((i, attr.tag))
+                    nbrs[i].append(j)
+                    nbrs[j].append(i)
+                else:
+                    sig_out[i].append(j)
+                    sig_in[j].append(i)
+        self.cats = [ref.category for ref in refs]
         self.partners = {i: shell for shell in shells.values() if len(shell) > 1 for i in shell}
         self.reach: list[int] | None = None
         self.cat_ranks: list[int] | None = None

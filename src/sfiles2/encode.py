@@ -69,63 +69,56 @@ class EmissionPlan:
     marks: dict[int, list[tuple[str, tuple]]] | None = None
 
 
-def _roots(ix: _Index, comp: list[int], pos: dict[int, int], tree_of: dict[int, _Tree]):
-    """One component's tree roots, each yielded once the trees before it are grown.
-
-    First every unit without a material inlet, in rank order: no other
-    tree can reach one.  Then, while units are left, the first of them
-    with a material outlet (or the first one) is entered from its first
-    unplanted material predecessor, if it has one.
-    """
-    for node in comp:
-        if not ix.mat_in[node]:
-            yield node
-    while unvisited := [n for n in comp if n not in tree_of]:
-        w = next((n for n in unvisited if ix.mat_out[n]), unvisited[0])
-        preds = [src for src, _tag in ix.mat_in[w] if src not in tree_of]
-        yield min(preds, key=pos.__getitem__, default=w)
-
-
-def _grow_tree(ix, tree, pos, tree_of, recycles):
-    def outlets(node):
-        out = ix.mat_out[node]
-        return iter(sorted(out, key=lambda e: pos[e[0]]) if len(out) > 1 else out)
-
-    tree_of[tree.root] = tree
-    on_stack = {tree.root}
-    stack = [(tree.root, outlets(tree.root))]
-    while stack:
-        node, edges = stack[-1]
-        step = next(edges, None)
-        if step is None:
-            stack.pop()
-            on_stack.discard(node)
-            continue
-        dst, tag = step
-        if dst not in tree_of:
-            tree_of[dst] = tree
-            tree.children.setdefault(node, []).append((dst, tag))
-            stack.append((dst, outlets(dst)))
-            on_stack.add(dst)
-        elif dst in on_stack:
-            recycles.append((node, dst, tag))
-        elif tree_of[dst] is not tree and tree.anchor is None:
-            tree.anchor = (node, dst, tag)
-        else:
-            recycles.append((node, dst, tag))
-
-
 def traverse(ix: _Index, comp: list[int]) -> EmissionPlan:
     """Plan the DFS forest of one component, its node ids in rank order,
-    with positions local to it.  ``_join`` places the marks."""
+    with positions local to it.  ``_join`` places the marks.
+
+    Trees are rooted first at every unit without a material inlet, in
+    rank order: no other tree can reach one.  Then, while units are
+    left, the first of them with a material outlet (or the first one)
+    is entered from its first unplanted material predecessor, if it has
+    one.  A unit's outlets are taken in rank order of their targets.
+    """
+    mat_in, mat_out = ix.mat_in, ix.mat_out
     pos = {node: p for p, node in enumerate(comp)}
     trains: list[_Tree] = []
     insertions: dict[int, list[_Tree]] = {}
     recycles: list[tuple[int, int, str | None]] = []
     tree_of: dict[int, _Tree] = {}
-    for root in _roots(ix, comp, pos, tree_of):
+    feeds = iter([node for node in comp if not mat_in[node]])
+    while (root := next(feeds, None)) is not None or len(tree_of) < len(comp):
+        if root is None:
+            unvisited = [n for n in comp if n not in tree_of]
+            w = next((n for n in unvisited if mat_out[n]), unvisited[0])
+            preds = [src for src, _tag in mat_in[w] if src not in tree_of]
+            root = min(preds, key=pos.__getitem__, default=w)
         tree = _Tree(root)
-        _grow_tree(ix, tree, pos, tree_of, recycles)
+        children = tree.children
+        tree_of[root] = tree
+        on_stack = {root}
+        out = mat_out[root]
+        stack = [(root, iter(sorted(out, key=lambda e: pos[e[0]]) if len(out) > 1 else out))]
+        while stack:
+            node, edges = stack[-1]
+            for dst, tag in edges:
+                if dst not in tree_of:
+                    tree_of[dst] = tree
+                    children.setdefault(node, []).append((dst, tag))
+                    out = mat_out[dst]
+                    stack.append(
+                        (dst, iter(sorted(out, key=lambda e: pos[e[0]]) if len(out) > 1 else out))
+                    )
+                    on_stack.add(dst)
+                    break
+                if dst in on_stack:
+                    recycles.append((node, dst, tag))
+                elif tree_of[dst] is not tree and tree.anchor is None:
+                    tree.anchor = (node, dst, tag)
+                else:
+                    recycles.append((node, dst, tag))
+            else:
+                stack.pop()
+                on_stack.discard(node)
         if tree.anchor is None:
             trains.append(tree)
         else:
@@ -357,11 +350,20 @@ def _walk(ix: _Index, comp: list[int]) -> list[int] | None:
     back into itself: every unit is on the walk, ``traverse`` and
     ``_write`` never compare two of its units, and no other unit's marks
     sort on its positions.  So any rank order writes the same bytes.
+    The check stops at the first unit that breaks it.
     """
     mat_out, mat_in, sig_out, sig_in = ix.mat_out, ix.mat_in, ix.sig_out, ix.sig_in
-    walk = [i for i in comp if not mat_in[i]]
-    if len(walk) != 1 or any(len(mat_out[i]) > 1 or sig_out[i] or sig_in[i] for i in comp):
+    feed = None
+    for i in comp:
+        if len(mat_out[i]) > 1 or sig_out[i] or sig_in[i]:
+            return None
+        if not mat_in[i]:
+            if feed is not None:
+                return None
+            feed = i
+    if feed is None:
         return None
+    walk = [feed]
     for _ in range(len(comp) - 1):
         walk.append(mat_out[walk[-1]][0][0])
     return walk
@@ -370,14 +372,23 @@ def _walk(ix: _Index, comp: list[int]) -> list[int] | None:
 def _shape(ix: _Index, comp: list[int], local: dict[int, int]) -> tuple:
     """All that ``component_string`` reads of a ranked component, with
     ``local`` positions for node ids, so equal shapes write equal strings.
-    Material inlets come from the component's own outlets."""
+    Material inlets come from the component's own outlets.  Outlets are
+    sorted only where a unit has more than one, and a unit without
+    signal outlets gets the empty tuple, as sorting would give."""
+    cats, ctrl, mat_out, sig_out = ix.cats, ix.ctrl, ix.mat_out, ix.sig_out
+    refs, partners = ix.refs, ix.partners
     shells: dict[tuple[str, int], int] = {}  # equipment: its first unit here
-    return tuple([
-        (ix.cats[i], ix.ctrl[i], tuple(sorted([(local[j], t) for j, t in ix.mat_out[i]])),
-         tuple(sorted([local[j] for j in ix.sig_out[i] if j in local])),
-         shells.setdefault(ix.refs[i].equipment, p) if i in ix.partners else -1)
-        for p, i in enumerate(comp)
-    ])
+    shape = []
+    for p, i in enumerate(comp):
+        out = mat_out[i]
+        if len(out) == 1:
+            outlets = ((local[out[0][0]], out[0][1]),)
+        else:
+            outlets = tuple(sorted([(local[j], t) for j, t in out]))
+        signals = tuple(sorted([local[j] for j in sig_out[i] if j in local])) if sig_out[i] else ()
+        group = shells.setdefault(refs[i].equipment, p) if i in partners else -1
+        shape.append((cats[i], ctrl[i], outlets, signals, group))
+    return tuple(shape)
 
 
 def component_string(ix: _Index, plan: EmissionPlan) -> tuple[str, list[object]]:
