@@ -3,8 +3,9 @@
 Verbatim reference copies: Morgan refinement over a name index built
 from the graph's own edge queries, color refinement that re-sorts every
 node every round, one depth first search per node for reach, and the
-eager tie-break that computes colors and every tie key up front.  The
-tests require the production ranking to return exactly what these
+eager tie-break that computes colors and every tie key up front, and
+the integer snapshot ``_Index`` built from the graph's public queries.
+The tests require the production ranking to return exactly what these
 return.
 """
 
@@ -229,3 +230,66 @@ def rank_components(graph: FlowsheetGraph) -> list[list[str]]:
         break_ties(graph, morgan_iterate(graph, comp).classes(), colors)
         for comp in _components(graph)
     ]
+
+
+class _Index:
+    """The snapshot as built from ``nodes()``, ``node_ref()``, ``ctrl()`` and
+    ``edges()``, with the slots of ``sfiles2.canon._Index``, so that
+    ``rank_component`` can fill in ``reach``, ``cat_ranks`` and ``colors``."""
+
+    __slots__ = (
+        "names", "refs", "cats", "ctrl", "mat_out", "mat_in", "nbrs", "sig_out", "sig_in",
+        "partners", "reach", "cat_ranks", "colors",
+    )
+
+    def __init__(self, graph: FlowsheetGraph):
+        self.names = names = graph.nodes()
+        pos = {name: i for i, name in enumerate(names)}
+        self.refs = refs = [graph.node_ref(name) for name in names]
+        self.cats = [ref.category for ref in refs]
+        self.ctrl = [graph.ctrl(name) or "" for name in names]
+        self.mat_out = mat_out = [[] for _ in names]
+        self.mat_in = mat_in = [[] for _ in names]
+        self.nbrs = nbrs = [[] for _ in names]
+        self.sig_out = sig_out = [[] for _ in names]
+        self.sig_in = sig_in = [[] for _ in names]
+        for src, dst, attr in graph.edges():
+            i, j = pos[src], pos[dst]
+            if attr.kind == MATERIAL:
+                mat_out[i].append((j, attr.tag))
+                mat_in[j].append((i, attr.tag))
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+            else:
+                sig_out[i].append(j)
+                sig_in[j].append(i)
+        # Only exchanger sub-units share equipment: other names are unique.
+        shells: dict[int, list[int]] = {}
+        for i, ref in enumerate(refs):
+            if ref.sub is not None:
+                shells.setdefault(ref.number, []).append(i)
+        self.partners = {i: shell for shell in shells.values() if len(shell) > 1 for i in shell}
+        self.reach: list[int] | None = None
+        self.cat_ranks: list[int] | None = None
+        self.colors: list[int] | None = None
+
+    def components(self) -> list[list[int]]:
+        """Material components as node id lists, in order of their first node."""
+        nbrs = self.nbrs
+        seen = [False] * len(nbrs)
+        comps = []
+        for root in range(len(nbrs)):
+            if seen[root]:
+                continue
+            seen[root] = True
+            comp = []
+            stack = [root]
+            while stack:
+                i = stack.pop()
+                comp.append(i)
+                for j in nbrs[i]:
+                    if not seen[j]:
+                        seen[j] = True
+                        stack.append(j)
+            comps.append(comp)
+        return comps

@@ -4,16 +4,18 @@ Verbatim reference copies of the planning and writing code of that
 time: ``_ranked`` orders equally sized components by
 ``component_string``, which plans and renders each of them on its own,
 and ``encode`` then plans the whole graph again with one ``traverse``
-over every component.  The ranking itself comes from
-``sfiles2.canon``, which ``canon_oracle`` checks.  The tests require the
-production encoder to return exactly what ``encode`` here returns.
+over every component.  The snapshot is ``canon_oracle._Index``, and the
+ranking itself comes from ``sfiles2.canon``, which ``canon_oracle``
+checks.  The tests require the production encoder to return exactly
+what ``encode`` here returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from sfiles2.canon import _Index, rank_component
+from canon_oracle import _Index
+from sfiles2.canon import rank_component
 from sfiles2.errors import EncodeError
 from sfiles2.model import FlowsheetGraph
 

@@ -233,11 +233,41 @@ ORACLE_FAMILIES = {
     "chains": lambda: [corpus.chain(n) for n in (0, 1, 2, 5, 50, 201)],
     "trains": lambda: [corpus.trains(k, u) for k in (2, 5, 40) for u in (1, 3)],
     "exchanger_loops": lambda: [corpus.exchanger_loop(n) for n in (4, 8, 16, 64)],
+    "shapes": lambda: [
+        corpus.controlled_trains(),
+        corpus.half_controlled_trains(),
+        corpus.lollipop(),
+        corpus.shell_trains(),
+    ],
 }
+
+
+def assert_snapshot_matches_the_reference(g: FlowsheetGraph) -> None:
+    """Every slot of ``_Index`` equals the reference snapshot's, as built
+    and after ranking every component fills in the lazy ones."""
+    ix, ref = _Index(g), canon_oracle._Index(g)
+
+    def slots(snapshot):
+        return {slot: getattr(snapshot, slot) for slot in _Index.__slots__}
+
+    assert slots(ix) == slots(ref)
+    for comp in ref.components():
+        assert rank_component(ix, comp) == rank_component(ref, comp)
+    assert slots(ix) == slots(ref)
 
 
 class TestAgainstReference:
     """The fast ranking stages return exactly what the first versions did."""
+
+    def test_snapshot_has_the_reference_slots(self):
+        assert _Index.__slots__ == canon_oracle._Index.__slots__
+
+    @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+    def test_snapshot(self, family):
+        graphs = ORACLE_FAMILIES[family]()
+        rng = random.Random(31)
+        for g in graphs + [genflow.renumber_randomly(g, rng) for g in graphs]:
+            assert_snapshot_matches_the_reference(g)
 
     @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
     def test_refinement_colors(self, family):
@@ -510,11 +540,12 @@ class TestLazyStages:
         + [(_MIXED_TRAINS, 3, 2)],
         ids=_PLANNED_IDS + ["mixed_trains"],
     )
-    def test_rank_graph_plans_only_components_of_a_shared_size(
+    def test_one_traverse_per_component_one_key_per_shape(
         self, monkeypatch, graph, planned, shapes
     ):
-        # Ranking plans every component, as encoding does, and keys one
-        # member of each distinct shape among equally sized components.
+        # Ranking plans every component once, as encoding does, and calls
+        # ``component_string`` once per distinct shape among equally
+        # sized components.
         traversed = _count_calls(monkeypatch, encode_module, "traverse")
         keyed = _count_calls(monkeypatch, encode_module, "component_string")
         rank_graph(graph)

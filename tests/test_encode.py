@@ -7,6 +7,8 @@ import pytest
 import corpus
 import genflow
 from sfiles2 import EncodeError, FlowsheetGraph, encode, parse_sfiles, roundtrip_check
+from sfiles2.canon import _Index
+from sfiles2.encode import _walk
 
 
 @pytest.mark.parametrize("key", [f.key for f in corpus.FIXTURES])
@@ -269,6 +271,76 @@ def test_equal_sizes_that_differ_in_one_detail_key_apart(graph, expected):
     # The first component is keyed first.  Were the shape of the second
     # taken for the first's, their strings would tie and names would order them.
     assert str(encode(graph)) == expected
+
+
+_RING = ["hex-1", "hex-2", "hex-3", "hex-4"]
+
+
+@pytest.mark.parametrize(
+    "graph, walks",
+    [
+        (corpus.build(["tank-1"], []), [["tank-1"]]),
+        (
+            corpus.build(["raw-1", "v-1", "prod-1"], [("raw-1", "v-1"), ("v-1", "prod-1")]),
+            [["raw-1", "v-1", "prod-1"]],
+        ),
+        (
+            corpus.build(
+                ["raw-1", "v-1", "r-1", "pp-1"],
+                [("raw-1", "v-1"), ("v-1", "r-1"), ("r-1", "pp-1"), ("pp-1", "r-1")],
+            ),
+            [["raw-1", "v-1", "r-1", "pp-1"]],
+        ),
+        (
+            corpus.build(
+                ["tank-1", "pp-1", "v-1"], [("tank-1", "pp-1"), ("pp-1", "v-1"), ("v-1", "tank-1")]
+            ),
+            [None],
+        ),
+        (corpus.build(_RING, list(zip(_RING, _RING[1:] + _RING[:1]))), [None]),
+        (
+            corpus.build(
+                ["raw-1", "raw-2", "mix-1", "prod-1"],
+                [("raw-1", "mix-1"), ("raw-2", "mix-1"), ("mix-1", "prod-1")],
+            ),
+            [None],
+        ),
+        (
+            corpus.build(
+                ["raw-1", "splt-1", "prod-1", "prod-2"],
+                [("raw-1", "splt-1"), ("splt-1", "prod-1"), ("splt-1", "prod-2")],
+            ),
+            [None],
+        ),
+        (
+            corpus.build(
+                ["raw-1", "v-1", "prod-1", ("C-1", "FC")],
+                [("raw-1", "v-1"), ("v-1", "prod-1"), ("C-1", "v-1", _SIGNAL)],
+            ),
+            [None, None],
+        ),
+        (
+            corpus.build(
+                ["raw-1", "v-1", "prod-1", "raw-2", "v-2", "prod-2"],
+                [("raw-1", "v-1"), ("v-1", "prod-1"), ("raw-2", "v-2"), ("v-2", "prod-2")]
+                + [("prod-1", "raw-2", _SIGNAL)],
+            ),
+            [None, None],
+        ),
+    ],
+    ids=[
+        "isolated_unit", "pipe", "recycle_into_the_middle", "recycle_into_the_feed",
+        "exchanger_ring", "two_feeds", "two_outlets", "controller", "signal_between_trains",
+    ],
+)
+def test_walk(graph, walks):
+    # A component is walked only when it is a path from its one feed
+    # with no branch and no signal, whatever order its units come in.
+    ix = _Index(graph)
+    for comp, walk in zip(ix.components(), walks, strict=True):
+        for units in (comp, comp[::-1]):
+            got = _walk(ix, units)
+            assert (got and [ix.names[i] for i in got]) == walk
 
 
 def test_long_chain_encodes_without_recursion_limit():

@@ -3,7 +3,7 @@
 import pytest
 
 import corpus
-from sfiles2 import ParseError, parse, parse_sfiles, tokenize
+from sfiles2 import NUMBERED, ParseError, encode, parse, parse_sfiles, tokenize
 
 
 class TestTokenizer:
@@ -176,6 +176,33 @@ class TestReconstruction:
         g, diags = parse("(raw) (prod)")
         assert g is None
         assert any(d.code == "illegal-character" for d in diags.errors())
+
+
+@pytest.mark.parametrize(
+    "text, edges, canonical",
+    [
+        ("n|", [], ("", "")),
+        ("(raw)(prod)n|", [("raw-1", "prod-1")], ("(raw)(prod)", "(raw-1)(prod-1)")),
+        ("n|(raw)(prod)", [("raw-1", "prod-1")], ("(raw)(prod)", "(raw-1)(prod-1)")),
+        (
+            "(raw)(prod)n|n|(raw)(prod)",
+            [("raw-1", "prod-1"), ("raw-2", "prod-2")],
+            ("(raw)(prod)n|(raw)(prod)", "(raw-1)(prod-1)n|(raw-2)(prod-2)"),
+        ),
+    ],
+    ids=["alone", "trailing", "leading", "doubled"],
+)
+def test_empty_trains_are_dropped(text, edges, canonical):
+    # Pinned as it stands: both modes accept an empty train without a
+    # diagnostic and build nothing for it.
+    for strict in (True, False):
+        g, diags = parse(text, strict=strict)
+        assert diags.entries == []
+        assert g.nodes() == [name for edge in edges for name in edge]
+        assert [(src, dst, attr.kind, attr.tag) for src, dst, attr in g.edges()] == [
+            (src, dst, "material", None) for src, dst in edges
+        ]
+        assert (str(encode(g)), str(encode(g, NUMBERED))) == canonical
 
 
 class TestErrorSuite:

@@ -32,6 +32,7 @@ import corpus
 import encode_oracle
 import genflow
 import json_oracle
+from test_canon import assert_snapshot_matches_the_reference
 from sfiles2 import (
     GENERALIZED, NUMBERED, EncodeError, FlowsheetGraph, GraphInvariantError, NodeRef, SchemaError,
     encode, load_json, parse, rank_graph, save_json, tokenize,
@@ -131,6 +132,12 @@ def test_ranking_stages_match_the_reference(g):
     pairs = [(a < b, a == b) for a in got for b in got]
     assert pairs == [(a < b, a == b) for a in want for b in want]
     assert morgan_iterate(g) == canon_oracle.morgan_iterate(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flowsheets())
+def test_snapshot_matches_the_reference(g):
+    assert_snapshot_matches_the_reference(g)
 
 
 @settings(max_examples=300, deadline=None)
