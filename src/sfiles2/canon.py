@@ -1,12 +1,14 @@
 """Canonical node ranking.
 
-Ranking runs in two stages per connected component: iterative Morgan
-refinement over the undirected material graph, then rule based
-tie-breaking inside the surviving equivalence classes.  The resulting
-rank order is what makes string emission deterministic.  Components of
-equal size are ordered by their strings, next to the string code in
-``encode``.  Every stage reads one integer snapshot of the graph,
-``_Index``, which emission then reads too.
+Ranking runs in two stages per connected component, both called by
+``rank_component`` through this module: Morgan's extended-connectivity
+refinement over the undirected material graph (``morgan_iterate``),
+then rule based tie-breaking inside the surviving equivalence classes
+(``break_ties``).  The resulting rank order is what makes string
+emission deterministic.  Components of equal size are ordered by their
+strings, next to the string code in ``encode``.  Every stage reads one
+integer snapshot of the graph, ``_Index``, by node id, and emission
+then reads it too.
 """
 
 from __future__ import annotations
@@ -57,24 +59,6 @@ _OUT_SIGNAL, _IN_SIGNAL = 11, 1
 
 
 @dataclass
-class MorganState:
-    """Snapshot of the refinement at its most discriminating iteration.
-
-    ``value`` maps each node name to its value.
-    """
-
-    value: dict[str, int]
-    val_set: int
-    iteration: int
-
-    def classes(self) -> list[list[str]]:
-        by_value: dict[int, list[str]] = {}
-        for name in sorted(self.value):
-            by_value.setdefault(self.value[name], []).append(name)
-        return [by_value[v] for v in sorted(by_value)]
-
-
-@dataclass
 class RankTable:
     """Per-component ranks plus the component emission order."""
 
@@ -82,20 +66,7 @@ class RankTable:
     subgraph_order: list[list[str]]
 
 
-def morgan_iterate(graph: FlowsheetGraph, nodes: list[str] | None = None) -> MorganState:
-    """Morgan refinement of ``nodes`` (default: every node), keyed by name.
-
-    Only material edges between two of ``nodes`` count.  See ``_morgan``.
-    """
-    ix = _Index(graph)
-    wanted = set(ix.names if nodes is None else nodes)
-    keep = [name in wanted for name in ix.names]
-    ix.nbrs = [[j for j in nbrs if keep[j]] for nbrs in ix.nbrs]
-    perm, peak, best, iteration = _morgan(ix, [i for i in range(len(keep)) if keep[i]])
-    return MorganState(dict(zip(map(ix.names.__getitem__, perm), peak)), best, iteration)
-
-
-def _morgan(ix: _Index, comp: list[int]) -> tuple[list[int], list[int], int, int]:
+def morgan_iterate(ix: _Index, comp: list[int]) -> tuple[list[int], list[int], int, int]:
     """Refine node values by summing neighbor values over material edges.
 
     Values start at 1.  Each iteration replaces a node's value with the
@@ -467,8 +438,9 @@ def break_ties(ix: _Index, classes: list[list[int]]) -> list[int]:
 
 def rank_component(ix: _Index, comp: list[int]) -> list[int]:
     """``comp``, a material component of ``ix``, as its node ids in rank
-    order, lowest rank first, whatever order ``comp`` is in: one Morgan
-    run, its peak values grouped into classes, flattened by ``break_ties``."""
-    perm, peak, _best, _iteration = _morgan(ix, comp)
+    order, lowest rank first, whatever order ``comp`` is in: one
+    ``morgan_iterate`` run, its peak values grouped into classes,
+    flattened by ``break_ties``."""
+    perm, peak, _best, _iteration = morgan_iterate(ix, comp)
     by_value = groupby(sorted(zip(peak, perm)), key=itemgetter(0))
     return break_ties(ix, [[i for _value, i in run] for _value, run in by_value])

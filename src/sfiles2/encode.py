@@ -9,22 +9,23 @@ component, a path from its one feed with no branch and no signal
 walk order, and only ``rank_graph`` ranks it.
 
 Emission runs in two passes.  ``traverse`` plans the DFS forest of one
-ranked component: tree edges become the written chain, back and repeated
-edges become numbered recycle pairs, and the first edge from a new tree
-into already written material becomes that tree's converging insertion
-point.  ``_plans`` ranks and plans each component once and orders
-equally sized ones by ``component_string``, for encoding and
-``rank_graph`` alike; ``_join`` strings the plans together and places
-every mark.  ``emit`` walks the joined plan once, writing each mark as
-text when it reaches it: recycle and equipment-group ids count up by
-first textual appearance, signal ids in the order of their out-marks
-(``_n``).  Nodes stay ids until the parts are joined.
+ranked component as flat maps keyed by node id: tree edges become the
+written chain, back and repeated edges become numbered recycle pairs,
+and the first edge from a new tree into already written material
+becomes that tree's converging insertion point.  ``_plans`` ranks and
+plans each component once and orders equally sized ones by
+``component_string``, for encoding and ``rank_graph`` alike.  ``_write``
+takes the plans in that order, places every mark and walks them once,
+writing each mark as text when it reaches it: recycle and
+equipment-group ids count up by first textual appearance, signal ids in
+the order of their out-marks (``_n``).  Nodes stay ids until ``_render``
+joins the parts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .canon import RankTable, _Index, rank_component
 from .errors import EncodeError
@@ -46,32 +47,28 @@ class SfilesString(str):
         return s
 
 
-@dataclass(slots=True)
-class _Tree:
-    root: int
-    children: dict[int, list[tuple[int, str | None]]] = field(default_factory=dict)
-    # (source, merge target, tag) once this tree converges into earlier text
-    anchor: tuple[int, int, str | None] | None = None
-
-
 # Mark kinds.  A mark's key is its edge: (source, target, tag) for a
 # recycle, (source, target) for a signal.
 _REC_IN, _REC_OUT, _SIG_OUT, _SIG_IN = "rec_in", "rec_out", "sig_out", "sig_in"
 
 
-@dataclass
+@dataclass(slots=True)
 class EmissionPlan:
-    nodes: list[int]  # in rank order, components in emission order
-    trains: list[_Tree]
-    insertions: dict[int, list[_Tree]]  # trees converging into a node
+    """The DFS forest of one component, keyed by node id.  Every node is
+    in one tree, so one map per relation serves the whole forest."""
+
+    nodes: list[int]  # in rank order
+    pos: dict[int, int]  # each node's position in ``nodes``
+    roots: list[int]  # of the trains: trees that converge into no earlier text
+    children: dict[int, list[tuple[int, str | None]]]  # with the tag of each tree edge
+    insertions: dict[int, list[int]]  # merge target: roots of the trees converging into it
+    anchors: dict[int, str | None]  # source of a tree's converging edge: its tag
     recycles: list[tuple[int, int, str | None]]
-    # Per node, its (kind, edge) marks in text order, placed by ``_join``.
-    marks: dict[int, list[tuple[str, tuple]]] | None = None
 
 
 def traverse(ix: _Index, comp: list[int]) -> EmissionPlan:
     """Plan the DFS forest of one component, its node ids in rank order,
-    with positions local to it.  ``_join`` places the marks.
+    with positions local to it.  ``_write`` places the marks.
 
     Trees are rooted first at every unit without a material inlet, in
     rank order: no other tree can reach one.  Then, while units are
@@ -81,28 +78,29 @@ def traverse(ix: _Index, comp: list[int]) -> EmissionPlan:
     """
     mat_in, mat_out = ix.mat_in, ix.mat_out
     pos = {node: p for p, node in enumerate(comp)}
-    trains: list[_Tree] = []
-    insertions: dict[int, list[_Tree]] = {}
+    roots: list[int] = []
+    children: dict[int, list[tuple[int, str | None]]] = {}
+    insertions: dict[int, list[int]] = {}
+    anchors: dict[int, str | None] = {}
     recycles: list[tuple[int, int, str | None]] = []
-    tree_of: dict[int, _Tree] = {}
+    root_of: dict[int, int] = {}  # each planted node's tree, by its root
     feeds = iter([node for node in comp if not mat_in[node]])
-    while (root := next(feeds, None)) is not None or len(tree_of) < len(comp):
+    while (root := next(feeds, None)) is not None or len(root_of) < len(comp):
         if root is None:
-            unvisited = [n for n in comp if n not in tree_of]
+            unvisited = [n for n in comp if n not in root_of]
             w = next((n for n in unvisited if mat_out[n]), unvisited[0])
-            preds = [src for src, _tag in mat_in[w] if src not in tree_of]
+            preds = [src for src, _tag in mat_in[w] if src not in root_of]
             root = min(preds, key=pos.__getitem__, default=w)
-        tree = _Tree(root)
-        children = tree.children
-        tree_of[root] = tree
+        root_of[root] = root
+        target = None  # where this tree converges into earlier text
         on_stack = {root}
         out = mat_out[root]
         stack = [(root, iter(sorted(out, key=lambda e: pos[e[0]]) if len(out) > 1 else out))]
         while stack:
             node, edges = stack[-1]
             for dst, tag in edges:
-                if dst not in tree_of:
-                    tree_of[dst] = tree
+                if dst not in root_of:
+                    root_of[dst] = root
                     children.setdefault(node, []).append((dst, tag))
                     out = mat_out[dst]
                     stack.append(
@@ -112,83 +110,80 @@ def traverse(ix: _Index, comp: list[int]) -> EmissionPlan:
                     break
                 if dst in on_stack:
                     recycles.append((node, dst, tag))
-                elif tree_of[dst] is not tree and tree.anchor is None:
-                    tree.anchor = (node, dst, tag)
+                elif target is None and root_of[dst] != root:
+                    target = dst
+                    anchors[node] = tag
                 else:
                     recycles.append((node, dst, tag))
             else:
                 stack.pop()
                 on_stack.discard(node)
-        if tree.anchor is None:
-            trains.append(tree)
+        if target is None:
+            roots.append(root)
         else:
-            insertions.setdefault(tree.anchor[1], []).append(tree)
-    return EmissionPlan(comp, trains, insertions, recycles)
+            insertions.setdefault(target, []).append(root)
+    return EmissionPlan(comp, pos, roots, children, insertions, anchors, recycles)
 
 
-def _join(ix: _Index, plans: list[EmissionPlan]) -> EmissionPlan:
-    """The component plans in the given order as one, with every mark placed:
-    a signal can point into another component, so marks wait for the order."""
-    one = plans[0] if len(plans) == 1 else EmissionPlan(
-        [node for plan in plans for node in plan.nodes],
-        [tree for plan in plans for tree in plan.trains],
-        {node: trees for plan in plans for node, trees in plan.insertions.items()},
-        [edge for plan in plans for edge in plan.recycles],
-    )
-    pos = {node: p for p, node in enumerate(one.nodes)}
-    signals = [(src, dst) for src in one.nodes for dst in ix.sig_out[src] if dst in pos]
-    # A node's marks: recycle in-marks by source, recycle out-marks by
-    # target, signal out-marks by target, signal in-marks by source.
-    marks: dict[int, list[tuple[str, tuple]]] = {}
-    for kind, edges, at, by in (
-        (_REC_IN, one.recycles, 1, 0),
-        (_REC_OUT, one.recycles, 0, 1),
-        (_SIG_OUT, signals, 0, 1),
-        (_SIG_IN, signals, 1, 0),
-    ):
-        for edge in sorted(edges, key=lambda e: pos[e[by]]) if edges else ():
-            marks.setdefault(edge[at], []).append((kind, edge))
-    return EmissionPlan(one.nodes, one.trains, one.insertions, one.recycles, marks)
-
-
-def _legacy_chain(plan: EmissionPlan, tree: _Tree) -> list[int]:
-    """An inserted tree's nodes in legacy text order, feed end first."""
+def _legacy_chain(plan: EmissionPlan, root: int, marks: dict) -> list[int]:
+    """The nodes of the tree at ``root``, which converges into earlier
+    text, in legacy text order, feed end first."""
     # The v1 notation writes a converging branch as a reversed chain, so
     # the inserted tree must be a plain pipe of nodes feeding at its end.
     chain = []
-    node = tree.root
+    node = root
     while True:
-        if node in plan.marks or node in plan.insertions:
+        if node in marks or node in plan.insertions:
             raise EncodeError(
                 "legacy converging notation cannot express marks inside an inserted branch"
             )
         chain.append(node)
-        kids = tree.children.get(node, [])
+        kids = plan.children.get(node)
         if not kids:
             break
         if len(kids) > 1:
             raise EncodeError("legacy converging notation cannot express nested branching")
-        child, tag = kids[0]
+        node, tag = kids[0]
         if tag:
             raise EncodeError("legacy converging notation cannot express stream tags")
-        node = child
-    src, _target, tag = tree.anchor
-    if tag:
+    src = next(node for node in chain if node in plan.anchors)
+    if plan.anchors[src]:
         raise EncodeError("legacy converging notation cannot express stream tags")
     if src != chain[-1]:
         raise EncodeError("legacy converging notation requires the feed at the end of the branch")
     return chain[::-1]
 
 
-def _write(ix: _Index, plan: EmissionPlan, legacy: bool = False) -> list[object]:
-    """The plan's text in order: a node is its id, anything else a finished string.
+def _write(ix: _Index, plans: list[EmissionPlan], legacy: bool = False) -> list[object]:
+    """The plans' text in the given order: a node is its id, anything
+    else a finished string.
 
-    Recycle and equipment-group ids are numbered by first appearance, so
-    the walk numbers them as it writes them.  Signal ids follow the
-    out-marks; an in-mark written before its out-mark is filled in at
-    the end.
+    A signal can point into another component, so the marks are placed
+    here, once the order is known.  Recycle and equipment-group ids are
+    numbered by first appearance, so the walk numbers them as it writes
+    them.  Signal ids follow the out-marks; an in-mark written before
+    its out-mark is filled in at the end.
     """
-    ctrl, refs, partners, marks = ix.ctrl, ix.refs, ix.partners, plan.marks
+    if len(plans) == 1:
+        nodes, pos, recycles = plans[0].nodes, plans[0].pos, plans[0].recycles
+    else:
+        nodes = [node for plan in plans for node in plan.nodes]
+        pos = {node: p for p, node in enumerate(nodes)}
+        recycles = [edge for plan in plans for edge in plan.recycles]
+    signals = [(src, dst) for src in nodes for dst in ix.sig_out[src] if dst in pos]
+    # A node's marks: recycle in-marks by source, recycle out-marks by
+    # target, signal out-marks by target, signal in-marks by source.
+    marks: dict[int, list[tuple[str, tuple]]] = {}
+    for kind, edges, at, by in (
+        (_REC_IN, recycles, 1, 0),
+        (_REC_OUT, recycles, 0, 1),
+        (_SIG_OUT, signals, 0, 1),
+        (_SIG_IN, signals, 1, 0),
+    ):
+        for edge in sorted(edges, key=lambda e: pos[e[by]]) if edges else ():
+            marks.setdefault(edge[at], []).append((kind, edge))
+
+    ctrl, refs, partners = ix.ctrl, ix.refs, ix.partners
     parts: list[object] = []
     rec_ids: dict[tuple, int] = {}
     sig_ids: dict[tuple, int] = {}
@@ -202,61 +197,63 @@ def _write(ix: _Index, plan: EmissionPlan, legacy: bool = False) -> list[object]
         if node in partners:
             parts.append("{%d}" % group_ids.setdefault(refs[node].equipment, len(group_ids) + 1))
 
-    # Depth first over an explicit stack, so chains of any length fit:
-    # an entry is a (tree, node) pair still to write or a finished string.
-    stack: list[object] = []
-    for tree in reversed(plan.trains):
-        stack += ["n|", (tree, tree.root)]
-    del stack[:1]  # no separator after the last train
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            parts.append(item)
-            continue
-        tree, node = item
-        write_node(node)
-        for kind, edge in marks.get(node, ()):
-            if kind == _REC_IN or kind == _REC_OUT:
-                k = rec_ids.setdefault(edge, len(rec_ids) + 1)
-                rid = str(k) if k < 10 else "%%%02d" % k
-                tag = edge[2]
-                if kind == _REC_IN:
-                    parts.append("<" + rid)
+    for plan in plans:
+        children, insertions, anchors = plan.children, plan.insertions, plan.anchors
+        # Depth first over an explicit stack, so chains of any length
+        # fit: an entry is a node still to write or a finished string.
+        # Every train is followed by a separator.
+        stack: list[object] = []
+        for root in reversed(plan.roots):
+            stack += ["n|", root]
+        while stack:
+            node = stack.pop()
+            if type(node) is str:
+                parts.append(node)
+                continue
+            write_node(node)
+            for kind, edge in marks.get(node, ()):
+                if kind == _REC_IN or kind == _REC_OUT:
+                    k = rec_ids.setdefault(edge, len(rec_ids) + 1)
+                    rid = str(k) if k < 10 else "%%%02d" % k
+                    tag = edge[2]
+                    if kind == _REC_IN:
+                        parts.append("<" + rid)
+                    else:
+                        parts.append("{%s}%s" % (tag, rid) if tag else rid)
+                elif kind == _SIG_OUT:
+                    sig_ids[edge] = len(sig_ids) + 1
+                    parts.append("_%d" % sig_ids[edge])
+                elif edge in sig_ids:
+                    parts.append("<_%d" % sig_ids[edge])
                 else:
-                    parts.append("{%s}%s" % (tag, rid) if tag else rid)
-            elif kind == _SIG_OUT:
-                sig_ids[edge] = len(sig_ids) + 1
-                parts.append("_%d" % sig_ids[edge])
-            elif edge in sig_ids:
-                parts.append("<_%d" % sig_ids[edge])
-            else:
-                waiting.append((len(parts), edge))
-                parts.append("")
-        if tree.anchor is not None and tree.anchor[0] == node:
-            tag = tree.anchor[2]
-            parts.append("{%s}&" % tag if tag else "&")
-        # What follows the node is inserted trees, every child but the
-        # last as a bracketed branch, then the last child: push it in
-        # reverse.  A legacy inserted branch is written at once.
-        for n, (child, tag) in enumerate(reversed(tree.children.get(node, ()))):
-            if n:
-                stack.append("]")
-            stack.append((tree, child))
-            if tag:
-                stack.append("{%s}" % tag)
-            if n:
-                stack.append("[")
-        inserted = plan.insertions.get(node)
-        if inserted and legacy:
-            for sub in inserted:
-                parts.append("[")
-                for n in _legacy_chain(plan, sub):
-                    parts.append("<")
-                    write_node(n)
-                parts.append("]")
-        elif inserted:
-            for sub in reversed(inserted):
-                stack += ["|", (sub, sub.root), "<&|"]
+                    waiting.append((len(parts), edge))
+                    parts.append("")
+            if node in anchors:
+                tag = anchors[node]
+                parts.append("{%s}&" % tag if tag else "&")
+            # What follows the node is inserted trees, every child but the
+            # last as a bracketed branch, then the last child: push it in
+            # reverse.  A legacy inserted branch is written at once.
+            for n, (child, tag) in enumerate(reversed(children.get(node, ()))):
+                if n:
+                    stack.append("]")
+                stack.append(child)
+                if tag:
+                    stack.append("{%s}" % tag)
+                if n:
+                    stack.append("[")
+            inserted = insertions.get(node)
+            if inserted and legacy:
+                for root in inserted:
+                    parts.append("[")
+                    for n in _legacy_chain(plan, root, marks):
+                        parts.append("<")
+                        write_node(n)
+                    parts.append("]")
+            elif inserted:
+                for root in reversed(inserted):
+                    stack += ["|", root, "<&|"]
+    del parts[-1:]  # no separator after the last train
     if len(rec_ids) > 99:
         raise EncodeError("more than 99 recycle connections in one string")
     for at, edge in waiting:
@@ -270,9 +267,9 @@ def _render(ix: _Index, parts: list[object], mode: str) -> str:
 
 
 def emit(
-    ix: _Index, plan: EmissionPlan, mode: str = GENERALIZED, legacy_converging: bool = False
+    ix: _Index, plans: list[EmissionPlan], mode: str = GENERALIZED, legacy_converging: bool = False
 ) -> str:
-    return _render(ix, _write(ix, plan, legacy_converging), mode)
+    return _render(ix, _write(ix, plans, legacy_converging), mode)
 
 
 def encode(
@@ -282,13 +279,13 @@ def encode(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     ix = _Index(graph)
-    return SfilesString(emit(ix, _join(ix, _plans(ix)), mode, legacy_converging), mode)
+    return SfilesString(emit(ix, _plans(ix), mode, legacy_converging), mode)
 
 
 def _encode_both(graph: FlowsheetGraph) -> tuple[SfilesString, SfilesString]:
     """The generalized and the numbered string, from one ranking and one plan."""
     ix = _Index(graph)
-    parts = _write(ix, _join(ix, _plans(ix)))
+    parts = _write(ix, _plans(ix))
     return tuple(SfilesString(_render(ix, parts, mode), mode) for mode in MODES)
 
 
@@ -326,10 +323,10 @@ def _plans(ix: _Index) -> list[EmissionPlan]:
             shapes: dict[tuple, tuple[str, list[object]]] = {}
             keys = []
             for plan in plans:
-                local = {i: p for p, i in enumerate(plan.nodes)}
-                shape = _shape(ix, plan.nodes, local)
+                shape = _shape(ix, plan)
                 if shape not in shapes:
                     text, parts = component_string(ix, plan)
+                    local = plan.pos
                     shapes[shape] = text, [p if type(p) is str else local[p] for p in parts]
                 keys.append((*shapes[shape], plan.nodes))
             runs = Counter(text for text, _parts, _nodes in keys)
@@ -369,17 +366,18 @@ def _walk(ix: _Index, comp: list[int]) -> list[int] | None:
     return walk
 
 
-def _shape(ix: _Index, comp: list[int], local: dict[int, int]) -> tuple:
-    """All that ``component_string`` reads of a ranked component, with
-    ``local`` positions for node ids, so equal shapes write equal strings.
+def _shape(ix: _Index, plan: EmissionPlan) -> tuple:
+    """All that ``component_string`` reads of a planned component, with
+    positions in ``plan.nodes`` for node ids, so equal shapes write equal
+    strings.
     Material inlets come from the component's own outlets.  Outlets are
     sorted only where a unit has more than one, and a unit without
     signal outlets gets the empty tuple, as sorting would give."""
     cats, ctrl, mat_out, sig_out = ix.cats, ix.ctrl, ix.mat_out, ix.sig_out
-    refs, partners = ix.refs, ix.partners
+    refs, partners, local = ix.refs, ix.partners, plan.pos
     shells: dict[tuple[str, int], int] = {}  # equipment: its first unit here
     shape = []
-    for p, i in enumerate(comp):
+    for p, i in enumerate(plan.nodes):
         out = mat_out[i]
         if len(out) == 1:
             outlets = ((local[out[0][0]], out[0][1]),)
@@ -395,5 +393,5 @@ def component_string(ix: _Index, plan: EmissionPlan) -> tuple[str, list[object]]
     """One component's generalized string, from its own plan, and the
     parts it was rendered from.  Signal edges that leave the component
     are omitted: the peer component has no place yet."""
-    parts = _write(ix, _join(ix, [plan]))
+    parts = _write(ix, [plan])
     return _render(ix, parts, GENERALIZED), parts

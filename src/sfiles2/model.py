@@ -64,11 +64,16 @@ class NodeRef:
 
     @classmethod
     def parse(cls, name: str) -> NodeRef:
+        """The ref named ``name``, which must be its one spelling: numbers
+        have no leading zeros, so ``raw-01`` is not a name of ``raw-1``."""
         m = _NAME_RE.fullmatch(name)
         if not m:
             raise ValueError(f"not a node name: {name!r}")
         sub = m.group(3)
-        return cls(m.group(1), int(m.group(2)), int(sub) if sub is not None else None)
+        ref = cls(m.group(1), int(m.group(2)), int(sub) if sub is not None else None)
+        if ref.name != name:
+            raise ValueError(f"not a node name: {name!r}")
+        return ref
 
 
 @dataclass(frozen=True, slots=True)

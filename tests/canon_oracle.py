@@ -6,22 +6,58 @@ node every round, one depth first search per node for reach, and the
 eager tie-break that computes colors and every tie key up front, and
 the integer snapshot ``_Index`` built from the graph's public queries.
 The tests require the production ranking to return exactly what these
-return.
+return.  ``morgan_state`` runs the production Morgan kernel, which takes
+node ids, on a graph and keys its result by name, as ``morgan_iterate``
+here does.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import groupby
 from operator import add
 
-from sfiles2 import MATERIAL, FlowsheetGraph
-from sfiles2.canon import MorganState
+from sfiles2 import MATERIAL, FlowsheetGraph, canon
 
 TAG_RANK = {None: -1, "bin": 0, "tin": 1, "tout": 2, "bout": 3}
 
 _CATEGORY_PRIO = {"C": 0, "prod": 1, "raw": 2}
 
 _STAGNATION_WINDOW = 3
+
+
+@dataclass
+class MorganState:
+    """Snapshot of the refinement at its most discriminating iteration.
+
+    ``value`` maps each node name to its value.
+    """
+
+    value: dict[str, int]
+    val_set: int
+    iteration: int
+
+    def classes(self) -> list[list[str]]:
+        by_value: dict[int, list[str]] = {}
+        for name in sorted(self.value):
+            by_value.setdefault(self.value[name], []).append(name)
+        return [by_value[v] for v in sorted(by_value)]
+
+
+def morgan_state(graph: FlowsheetGraph, nodes: list[str] | None = None) -> MorganState:
+    """``sfiles2.canon.morgan_iterate`` on ``nodes`` (default: every node),
+    keyed by name, to compare with ``morgan_iterate`` below.
+
+    The kernel takes node ids of one snapshot.  Only material edges
+    between two of ``nodes`` count, so the snapshot's neighbor lists are
+    cut down to them first.
+    """
+    ix = canon._Index(graph)
+    wanted = set(ix.names if nodes is None else nodes)
+    keep = [name in wanted for name in ix.names]
+    ix.nbrs = [[j for j in nbrs if keep[j]] for nbrs in ix.nbrs]
+    perm, peak, best, iteration = canon.morgan_iterate(ix, [i for i in range(len(keep)) if keep[i]])
+    return MorganState(dict(zip(map(ix.names.__getitem__, perm), peak)), best, iteration)
 
 
 def morgan_iterate(graph: FlowsheetGraph, nodes: list[str] | None = None) -> MorganState:

@@ -16,7 +16,7 @@ from collections import Counter
 
 from sfiles2 import FlowsheetGraph, GraphInvariantError
 from sfiles2.canon import _Index
-from sfiles2.encode import _join, _render, _write, traverse
+from sfiles2.encode import _render, _write, traverse
 
 _CHAIN = ["hex", "pp", "v", "r", "comp", "flash", "blwr"]
 
@@ -267,4 +267,4 @@ def random_string(g: FlowsheetGraph, rng: random.Random, mode: str) -> str:
     for comp in comps:
         rng.shuffle(comp)
     rng.shuffle(comps)
-    return _render(ix, _write(ix, _join(ix, [traverse(ix, c) for c in comps])), mode)
+    return _render(ix, _write(ix, [traverse(ix, c) for c in comps]), mode)

@@ -9,8 +9,9 @@ import pytest
 import canon_oracle
 import corpus
 import genflow
+from canon_oracle import morgan_state
 from sfiles2 import FlowsheetGraph, canon, encode, rank_graph
-from sfiles2.canon import _Index, _reach_counts, _refine, morgan_iterate, rank_component
+from sfiles2.canon import _Index, _reach_counts, _refine, rank_component
 
 # The package's ``encode`` is the function; the module is needed here.
 encode_module = importlib.import_module("sfiles2.encode")
@@ -20,22 +21,22 @@ class TestMorgan:
     def test_single_node(self):
         g = FlowsheetGraph()
         g.add_node("v-1")
-        state = morgan_iterate(g)
+        state = morgan_state(g)
         assert state.value == {"v-1": 1}
         assert state.val_set == 1
 
     def test_no_units(self):
         # No unit gives no value, as in the reference copy.
-        state = morgan_iterate(corpus.chain(3), [])
+        state = morgan_state(corpus.chain(3), [])
         assert (state.value, state.val_set, state.iteration) == ({}, 0, 0)
-        assert morgan_iterate(FlowsheetGraph()).val_set == 0
+        assert morgan_state(FlowsheetGraph()).val_set == 0
 
     def test_symmetric_chain_keeps_siblings_equal(self):
         g = corpus.build(
             ["raw-1", "mix-1", "raw-2", "prod-1"],
             [("raw-1", "mix-1"), ("raw-2", "mix-1"), ("mix-1", "prod-1")],
         )
-        state = morgan_iterate(g)
+        state = morgan_state(g)
         # The two feeds see identical surroundings and must share a class;
         # the center splits away from the leaves.
         assert state.value["raw-1"] == state.value["raw-2"]
@@ -48,7 +49,7 @@ class TestMorgan:
             ["v-1", "hex-1", "prod-1"],
             [("v-1", "hex-1"), ("hex-1", "v-1"), ("hex-1", "prod-1")],
         )
-        state = morgan_iterate(g)
+        state = morgan_state(g)
         assert state.val_set == 3
         assert state.iteration == 1
 
@@ -58,7 +59,7 @@ class TestMorgan:
         # first iteration at the peak, where the valve still scores
         # below the column and the reactor.
         g = corpus.fixture("reactor_recycle_plant").make()
-        state = morgan_iterate(g)
+        state = morgan_state(g)
         assert state.val_set == 9
         v = state.value
         assert v["v-1"] < v["dist-1"] < v["r-1"] < v["splt-1"] < v["mix-1"]
@@ -77,21 +78,21 @@ class TestMorgan:
                 ("v-2", "hex-2"),
             ],
         )
-        s1 = morgan_iterate(straight)
-        s2 = morgan_iterate(doubled)
+        s1 = morgan_state(straight)
+        s2 = morgan_state(doubled)
         assert s1.value["v-1"] != s2.value["v-1"]
 
     def test_signals_are_invisible_to_refinement(self):
         g = corpus.fixture("tank_level_control").make()
         bare = corpus.without_signals(g)
-        assert morgan_iterate(g, g.nodes()).value == morgan_iterate(bare, bare.nodes()).value
+        assert morgan_state(g, g.nodes()).value == morgan_state(bare, bare.nodes()).value
 
     def test_classes_group_by_value(self):
         g = corpus.build(
             ["raw-1", "mix-1", "raw-2", "prod-1"],
             [("raw-1", "mix-1"), ("raw-2", "mix-1"), ("mix-1", "prod-1")],
         )
-        classes = morgan_iterate(g).classes()
+        classes = morgan_state(g).classes()
         assert classes == [["prod-1", "raw-1", "raw-2"], ["mix-1"]]
 
 
@@ -301,9 +302,9 @@ class TestAgainstReference:
         graphs = ORACLE_FAMILIES[family]()
         rng = random.Random(13)
         for g in graphs + [genflow.renumber_randomly(g, rng) for g in graphs]:
-            assert morgan_iterate(g) == canon_oracle.morgan_iterate(g)
+            assert morgan_state(g) == canon_oracle.morgan_iterate(g)
             for comp in canon_oracle._components(g):
-                assert morgan_iterate(g, comp) == canon_oracle.morgan_iterate(g, comp)
+                assert morgan_state(g, comp) == canon_oracle.morgan_iterate(g, comp)
 
     @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
     def test_morgan_values_on_node_subsets(self, family):
@@ -314,7 +315,7 @@ class TestAgainstReference:
             names = g.nodes()
             picked = rng.sample(names, rng.randint(0, len(names)))
             for nodes in (names[::2], names[: len(names) // 2 or 1], picked):
-                assert morgan_iterate(g, nodes) == canon_oracle.morgan_iterate(g, nodes)
+                assert morgan_state(g, nodes) == canon_oracle.morgan_iterate(g, nodes)
 
     @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
     def test_rank_order(self, family):
@@ -421,7 +422,7 @@ _TIED_FEEDS = corpus.build(
 )
 
 
-# (graph, its ``_morgan``, ``break_ties``, ``_reach_counts`` and ``_refine``
+# (graph, its ``morgan_iterate``, ``break_ties``, ``_reach_counts`` and ``_refine``
 # calls in ``rank_graph``, and in encoding it in both modes).  Encoding
 # ranks no forced component: one feed, no branch and no signal.  Every
 # other component is ranked once per encoding, with one Morgan run.
@@ -555,7 +556,7 @@ class TestLazyStages:
     def test_encoding_ranks_no_forced_component(self, monkeypatch, graph, ranked, encoded):
         # A forced component writes the same bytes in any rank order, so
         # encoding plans it in walk order; ``rank_graph`` ranks it.
-        stages = ("_morgan", "break_ties", "_reach_counts", "_refine")
+        stages = ("morgan_iterate", "break_ties", "_reach_counts", "_refine")
         calls = [_count_calls(monkeypatch, canon, name) for name in stages]
         rank_graph(graph)
         assert tuple(c[0] for c in calls) == ranked

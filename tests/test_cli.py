@@ -88,6 +88,19 @@ class TestEncode:
         assert captured.out == ""
         assert captured.err == f"error: {p}: nodes must be a list\n"
 
+    def test_leading_zero_name_is_schema_exit(self, tmp_path, capsys):
+        # The name is refused where it is declared, not renamed to raw-1.
+        p = tmp_path / "bad.json"
+        doc = {
+            "nodes": [{"name": "raw-01"}, {"name": "prod-1"}],
+            "edges": [{"src": "raw-01", "dst": "prod-1"}],
+        }
+        p.write_text(json.dumps(doc))
+        assert main(["encode", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {p}: nodes[0].name: not a node name: 'raw-01'\n"
+
     def test_invariant_exit(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         doc = {

@@ -66,14 +66,48 @@ def test_legacy_cannot_express_tagged_feeder():
     # The old notation has no place for a column tag on a reversed
     # feeder chain, so the absorber must refuse rather than drop it.
     g = corpus.fixture("absorber").make()
-    with pytest.raises(EncodeError):
+    with pytest.raises(EncodeError, match="^legacy converging notation cannot express stream tags$"):
         encode(g, legacy_converging=True)
 
 
 def test_legacy_cannot_express_branched_feeder():
     g = corpus.fixture("nested_converging_plant").make()
-    with pytest.raises(EncodeError):
+    with pytest.raises(
+        EncodeError,
+        match="^legacy converging notation cannot express marks inside an inserted branch$",
+    ):
         encode(g, legacy_converging=True)
+
+
+# (canonical string with one converging branch, why the legacy notation
+# cannot write that branch as a reversed chain).  Marks inside the
+# branch, a tagged converging edge and a feed that is not at the end of
+# the branch have tests of their own.
+_LEGACY_REFUSALS = {
+    "nested-branching": (
+        "(raw)(v)(v)(v)(v)(v)(mix)<&|(raw)(splt)[(prod)](pp)&|(prod)",
+        "cannot express nested branching",
+    ),
+    "chain-edge-tag": (
+        "(raw)(v)(v)(v)(v)(v)(mix)<&|(raw){tin}(dist){tout}(pp)&|(prod)",
+        "cannot express stream tags",
+    ),
+    # A tagged converging edge that also leaves the branch before its
+    # end: the tag is reported, not the feed.
+    "tag-and-feed-not-at-the-end": (
+        "(raw)(v)(v)(v)(v)(dist)<&|(raw)(pp){bin}&(pp)(pp)|[{tout}(prod)]{bout}(prod)",
+        "cannot express stream tags",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, why", _LEGACY_REFUSALS.values(), ids=list(_LEGACY_REFUSALS))
+def test_legacy_refusals_are_pinned(text, why):
+    g = parse_sfiles(text)
+    assert str(encode(g)) == text
+    for mode in ("generalized", "numbered"):
+        with pytest.raises(EncodeError, match=f"^legacy converging notation {why}$"):
+            encode(g, mode, legacy_converging=True)
 
 
 def test_legacy_needs_the_feed_at_the_end_of_the_branch():

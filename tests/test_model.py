@@ -43,7 +43,7 @@ class TestNodeRef:
         "bad",
         # numbers take ASCII digits only: \d also matches Arabic-Indic digits
         ["hex", "hex-", "-1", "hex-0", "hex-1/0", "hex-1/2/3", "Hex 1", "", "raw-\u0661",
-         "hex-1/\u0661", "raw-1\n", "hex-1/2\n", "r\u00e9e-1"],
+         "hex-1/\u0661", "raw-1\n", "hex-1/2\n", "r\u00e9e-1", "raw-01", "hex-1/01", "hex-01/2"],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -112,6 +112,18 @@ class TestGraphConstruction:
         doc = {"nodes": [{"name": "C-1", "ctrl": ctrl}], "edges": []}
         with pytest.raises(GraphInvariantError):
             load_json(doc)
+
+    def test_has_node(self):
+        # A node is found under its one name only: numbers have no
+        # leading zeros, so no other spelling names it.
+        g = FlowsheetGraph()
+        g.add_node("raw-1")
+        g.add_node("hex-2/1")
+        assert g.has_node("raw-1") and g.has_node("hex-2/1")
+        assert not any(map(g.has_node, ["raw-2", "raw-01", "hex-2", "hex-2/01", "hex-02/1"]))
+        with pytest.raises(ValueError, match="not a node name: 'raw-01'"):
+            g.add_node("raw-01")
+        assert g.nodes() == ["raw-1", "hex-2/1"]
 
     def test_plain_and_sub_unit_conflict(self):
         g = FlowsheetGraph()
@@ -395,6 +407,17 @@ SCHEMA_ERRORS = [
     ({"nodes": ["v-1"], "edges": []}, "nodes[0] must be an object", "nodes[0]"),
     ({"nodes": [{"ctrl": None}], "edges": []}, "nodes[0].name must be a string", "nodes[0].name"),
     ({"nodes": [_V, {"name": 5}], "edges": []}, "nodes[1].name must be a string", "nodes[1].name"),
+    (
+        # A name spelled with a leading zero, and spelled so everywhere.
+        {"nodes": [{"name": "raw-01"}, _V], "edges": [{"src": "raw-01", "dst": "v-1"}]},
+        "nodes[0].name: not a node name: 'raw-01'",
+        "nodes[0].name",
+    ),
+    (
+        {"nodes": [_V, {"name": "hex-1/01"}], "edges": []},
+        "nodes[1].name: not a node name: 'hex-1/01'",
+        "nodes[1].name",
+    ),
     (
         {"nodes": [{"name": "C-1", "ctrl": 5}], "edges": []},
         "nodes[0].ctrl must be a string or null",

