@@ -5,16 +5,17 @@ planning and rendering work on its integer node ids and look a name up
 only to write it into a numbered string.  As in SMILES, ranks only pick
 where a walk starts and which branch comes first.  So a forced
 component, a path from its one feed with no branch and no signal
-(``_walk``), writes the same bytes in any rank order: it is planned in
-walk order, and only ``rank_graph`` ranks it.
+(``_walk``), writes the same bytes in any rank order: its plan is read
+off its walk (``_forced_plan``) with no DFS, and only ``rank_graph``
+ranks it.
 
 Emission runs in two passes.  ``traverse`` plans the DFS forest of one
 ranked component as flat maps keyed by node id: tree edges become the
 written chain, back and repeated edges become numbered recycle pairs,
 and the first edge from a new tree into already written material
-becomes that tree's converging insertion point.  ``_plans`` ranks and
-plans each component once and orders equally sized ones by
-``component_string``, for encoding and ``rank_graph`` alike.  ``_write``
+becomes that tree's converging insertion point.  ``_plans`` plans each
+component once and orders equally sized ones by ``component_string``,
+then by unit names, for encoding and ``rank_graph`` alike.  ``_write``
 takes the plans in that order, places every mark and walks them once,
 writing each mark as text when it reaches it: recycle and
 equipment-group ids count up by first textual appearance, signal ids in
@@ -304,34 +305,40 @@ def rank_graph(graph: FlowsheetGraph) -> RankTable:
 def _plans(ix: _Index) -> list[EmissionPlan]:
     """Every component's plan, components in emission order.
 
-    A component whose emission makes no choice is planned from its units
-    in ``_walk`` order and never ranked.  Components are emitted largest
-    first.  Equal sizes are ordered by ``component_string``, and inside a
-    run of equal strings by the numbered string, which names every unit
-    and so tells any two components apart.  Each ``_shape`` is keyed once.
+    A component whose emission makes no choice is planned from its walk
+    by ``_forced_plan`` and never ranked; any other is ranked and planned
+    by ``traverse``.  Components are emitted largest first.  Equal sizes
+    are ordered by ``component_string``, and inside a run of equal strings
+    by their unit names in text order, which tell any two components
+    apart.  That is the order of their numbered strings: the members of a
+    run share every part but the units, no ``(name)`` label is a prefix
+    of another, and ``)`` sorts below every character of a name.  Each
+    ``_shape`` is keyed once.
     """
     by_size: dict[int, list[EmissionPlan]] = {}
     for comp in ix.components():
-        comp = _walk(ix, comp) or rank_component(ix, comp)
-        by_size.setdefault(len(comp), []).append(traverse(ix, comp))
+        walk = _walk(ix, comp)
+        plan = _forced_plan(ix, walk) if walk else traverse(ix, rank_component(ix, comp))
+        by_size.setdefault(len(comp), []).append(plan)
 
+    names = ix.names
     final: list[EmissionPlan] = []
     for size in sorted(by_size, reverse=True):
         plans = by_size[size]
         if len(plans) > 1:
-            # Per shape: its string, and its parts with local positions for node ids.
-            shapes: dict[tuple, tuple[str, list[object]]] = {}
+            # Per shape: its string, and the local positions of its units in text order.
+            shapes: dict[tuple, tuple[str, list[int]]] = {}
             keys = []
             for plan in plans:
                 shape = _shape(ix, plan)
                 if shape not in shapes:
                     text, parts = component_string(ix, plan)
                     local = plan.pos
-                    shapes[shape] = text, [p if type(p) is str else local[p] for p in parts]
+                    shapes[shape] = text, [local[p] for p in parts if type(p) is not str]
                 keys.append((*shapes[shape], plan.nodes))
-            runs = Counter(text for text, _parts, _nodes in keys)
-            key = [(t, _render(ix, [p if type(p) is str else nodes[p] for p in parts], NUMBERED)
-                    if runs[t] > 1 else "") for t, parts, nodes in keys]
+            runs = Counter(text for text, _units, _nodes in keys)
+            key = [(t, [names[nodes[p]] for p in units] if runs[t] > 1 else ())
+                   for t, units, nodes in keys]
             plans = [plans[k] for k in sorted(range(len(plans)), key=key.__getitem__)]
         final += plans
     return final
@@ -364,6 +371,21 @@ def _walk(ix: _Index, comp: list[int]) -> list[int] | None:
     for _ in range(len(comp) - 1):
         walk.append(mat_out[walk[-1]][0][0])
     return walk
+
+
+def _forced_plan(ix: _Index, walk: list[int]) -> EmissionPlan:
+    """``traverse(ix, walk)`` of a forced component, read off its walk.
+
+    The feed is the only root and each unit's one outlet its tree edge,
+    except the last unit's, which can only lead back into the walk: its
+    outlet, if it has one, is the only recycle.  Nothing converges, so
+    there are no insertions or anchors.
+    """
+    children = {node: ix.mat_out[node] for node in walk}  # each the unit's one (target, tag)
+    last = children.pop(walk[-1])
+    recycles = [(walk[-1], *last[0])] if last else []
+    return EmissionPlan(walk, {node: p for p, node in enumerate(walk)}, walk[:1], children, {}, {},
+                        recycles)
 
 
 def _shape(ix: _Index, plan: EmissionPlan) -> tuple:

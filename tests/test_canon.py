@@ -521,36 +521,53 @@ class TestLazyStages:
     @pytest.mark.parametrize("graph", [g for g, _tied in _PLANNED], ids=_PLANNED_IDS)
     def test_each_tied_component_is_planned_once(self, monkeypatch, graph):
         # Every component, tied or not, is planned once per encode, and
-        # nothing plans the whole graph again.
+        # nothing plans the whole graph again: a forced component from its
+        # walk by ``_forced_plan``, any other by ``traverse``.
         planned = []
-        original = encode_module.traverse
 
-        def recorded(ix, comp):
-            planned.append(sorted(ix.names[i] for i in comp))
-            return original(ix, comp)
+        def record(route):
+            original = getattr(encode_module, route)
 
-        monkeypatch.setattr(encode_module, "traverse", recorded)
+            def recorded(ix, comp):
+                planned.append((sorted(ix.names[i] for i in comp), route))
+                return original(ix, comp)
+
+            monkeypatch.setattr(encode_module, route, recorded)
+
+        record("traverse")
+        record("_forced_plan")
+        ix = _Index(graph)
+        routes = {
+            tuple(sorted(ix.names[i] for i in comp)):
+                "_forced_plan" if encode_module._walk(ix, comp) else "traverse"
+            for comp in ix.components()
+        }
         for mode in ("generalized", "numbered"):
             planned.clear()
             encode(graph, mode)
-            assert sorted(planned) == sorted(canon_oracle._components(graph))
+            assert sorted(names for names, _route in planned) == sorted(
+                canon_oracle._components(graph)
+            )
+            assert all(routes[tuple(names)] == route for names, route in planned)
 
     @pytest.mark.parametrize(
-        "graph, planned, shapes",
-        [(g, *counts) for (g, _tied), counts in zip(_PLANNED, ((5, 1), (2, 1), (2, 0)))]
-        + [(_MIXED_TRAINS, 3, 2)],
+        "graph, ranked, forced, shapes",
+        [(g, *counts) for (g, _tied), counts in zip(_PLANNED, ((0, 5, 1), (0, 2, 1), (1, 1, 0)))]
+        + [(_MIXED_TRAINS, 0, 3, 2)],
         ids=_PLANNED_IDS + ["mixed_trains"],
     )
     def test_one_traverse_per_component_one_key_per_shape(
-        self, monkeypatch, graph, planned, shapes
+        self, monkeypatch, graph, ranked, forced, shapes
     ):
-        # Ranking plans every component once, as encoding does, and calls
-        # ``component_string`` once per distinct shape among equally
-        # sized components.
+        # Ranking plans every component once, as encoding does: a ranked
+        # one with one ``traverse``, a forced one from its walk and never
+        # with ``traverse``.  It calls ``component_string`` once per
+        # distinct shape among equally sized components.
         traversed = _count_calls(monkeypatch, encode_module, "traverse")
+        walked = _count_calls(monkeypatch, encode_module, "_forced_plan")
         keyed = _count_calls(monkeypatch, encode_module, "component_string")
         rank_graph(graph)
-        assert (traversed[0], keyed[0]) == (planned, shapes)
+        assert (traversed[0], walked[0], keyed[0]) == (ranked, forced, shapes)
 
     @pytest.mark.parametrize("graph, ranked, encoded", _RANKING_CALLS, ids=_RANKING_CALLS_IDS)
     def test_encoding_ranks_no_forced_component(self, monkeypatch, graph, ranked, encoded):
@@ -572,8 +589,9 @@ class TestLazyStages:
         ids=_PLANNED_IDS + ["mixed_trains"],
     )
     def test_numbered_strings_only_inside_equal_runs(self, monkeypatch, graph, tied):
-        # Ordering equally sized components renders a numbered string
-        # only for those whose generalized strings are equal.
+        # Ordering equally sized components renders no numbered string.
+        # Only the members of a run of equal generalized strings are
+        # keyed by their unit names, and each of their units is read once.
         renders = []
         original = encode_module._render
 
@@ -583,4 +601,18 @@ class TestLazyStages:
 
         monkeypatch.setattr(encode_module, "_render", recorded)
         rank_graph(graph)
-        assert renders.count("numbered") == tied
+        assert renders.count("numbered") == 0
+
+        read = []
+
+        class Names(list):
+            def __getitem__(self, i):
+                read.append(list.__getitem__(self, i))
+                return list.__getitem__(self, i)
+
+        ix = _Index(graph)
+        ix.names = Names(ix.names)
+        encode_module._plans(ix)
+        keyed = [comp for comp in canon_oracle._components(graph) if set(comp) & set(read)]
+        assert len(keyed) == tied
+        assert sorted(read) == sorted(name for comp in keyed for name in comp)
