@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .encode import GENERALIZED, NUMBERED, _encode_both, encode
 from .errors import GraphInvariantError, ParseError
-from .model import COLUMN_TAGS, CTRL_RE, MATERIAL, SIGNAL, FlowsheetGraph, NodeRef
+from .model import COLUMN_TAGS, CTRL_RE, MATERIAL, SIGNAL, FlowsheetGraph, NodeRef, _spelled_ref
 from .validate import REGISTRY
 
 # Digits are ASCII only: \d and str.isdigit also take digits such as "١".
@@ -120,8 +120,8 @@ _ERROR_MESSAGES = {
 @dataclass(slots=True)
 class _Occ:
     category: str
-    number: int | None
-    sub: int | None
+    number: str | None  # digits as written
+    sub: str | None
     start: int
     end: int
     ctrl: str | None = None
@@ -208,7 +208,7 @@ class _Machine:
         category, number, sub = m.groups()
         idx = len(self.occs)
         self.occs.append(
-            _Occ(category, int(number) if number else None, int(sub) if sub else None, start, end)
+            _Occ(category, number, sub, start, end)
         )
         frames = self.frames
         if frames and frames[-1].kind == "legacy":
@@ -544,8 +544,10 @@ def _explicit_refs(occs: list[_Occ], groups: dict[str, list[_Occ]]) -> list[Node
     """The nodes named by the string's own labels, or None when those labels
     are not a consistent numbering."""
     try:
-        refs = [NodeRef(occ.category, occ.number, occ.sub) for occ in occs]
+        refs = [_spelled_ref(occ.category, occ.number, occ.sub) for occ in occs]
     except ValueError:  # a label such as (r-1/2), (raw-0) or (hex-1/0)
+        return None
+    if any(ref is None for ref in refs):  # a label such as (raw-01) or (hex-1/01)
         return None
     if len({(occ.category, occ.number, occ.sub) for occ in occs}) != len(occs):
         return None

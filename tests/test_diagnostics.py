@@ -309,6 +309,31 @@ CASES = [
         ],
         SAME,
     ),
+    # a label with a leading zero is not its unit's name, as in the loader
+    (
+        "(raw-01)(prod-1)",
+        [
+            ("warning", "renumbered",
+             "explicit numbering is inconsistent, assigning fresh numbers", 0, 8),
+        ],
+        SAME,
+    ),
+    (
+        "(raw-1)(v-007)(prod-1)",
+        [
+            ("warning", "renumbered",
+             "explicit numbering is inconsistent, assigning fresh numbers", 0, 7),
+        ],
+        SAME,
+    ),
+    (
+        "(raw-1)(hex-1/01)(prod-1)",
+        [
+            ("warning", "renumbered",
+             "explicit numbering is inconsistent, assigning fresh numbers", 0, 7),
+        ],
+        SAME,
+    ),
     (
         "(raw-7)(v)(prod-2)",
         [
@@ -382,3 +407,21 @@ def _entries(text, strict):
 def test_diagnostics_are_pinned(text, strict, lenient):
     assert _entries(text, True) == strict
     assert _entries(text, False) == (strict if lenient is SAME else lenient)
+
+
+@pytest.mark.parametrize(
+    "text, nodes",
+    [
+        ("(raw-01)(prod-1)", ["prod-1", "raw-1"]),
+        ("(raw-1)(v-007)(prod-1)", ["prod-1", "raw-1", "v-1"]),
+        ("(raw-1)(hex-1/01)(prod-1)", ["hex-1", "prod-1", "raw-1"]),
+    ],
+    ids=["feed", "valve", "sub-unit"],
+)
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+def test_leading_zero_labels_take_fresh_numbers(text, nodes, strict):
+    # The parser reads a label only as the model spells the name, so a
+    # leading zero renumbers the string instead of renaming the unit.
+    g, diags = parse(text, strict=strict)
+    assert [d.code for d in diags.entries] == ["renumbered"]
+    assert sorted(g.nodes()) == nodes
