@@ -384,8 +384,8 @@ def _forced_plan(ix: _Index, walk: list[int]) -> EmissionPlan:
     children = {node: ix.mat_out[node] for node in walk}  # each the unit's one (target, tag)
     last = children.pop(walk[-1])
     recycles = [(walk[-1], *last[0])] if last else []
-    return EmissionPlan(walk, {node: p for p, node in enumerate(walk)}, walk[:1], children, {}, {},
-                        recycles)
+    pos = {node: p for p, node in enumerate(walk)}
+    return EmissionPlan(walk, pos, walk[:1], children, {}, {}, recycles)
 
 
 def _shape(ix: _Index, plan: EmissionPlan) -> tuple:

@@ -207,9 +207,7 @@ class _Machine:
             raise self.error("bad-node-name", f"not a unit name: {text!r}", start, end)
         category, number, sub = m.groups()
         idx = len(self.occs)
-        self.occs.append(
-            _Occ(category, number, sub, start, end)
-        )
+        self.occs.append(_Occ(category, number, sub, start, end))
         frames = self.frames
         if frames and frames[-1].kind == "legacy":
             frame = frames[-1]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Sequence
 
 from sfiles2 import FlowsheetGraph, GraphInvariantError
 from sfiles2.canon import _Index
@@ -155,8 +156,13 @@ def _maybe_control(g: FlowsheetGraph, rng: random.Random) -> FlowsheetGraph:
     return out
 
 
-def renumber_randomly(g: FlowsheetGraph, rng: random.Random) -> FlowsheetGraph:
-    """Same plant, different equipment numbers and insertion order."""
+def renumber_randomly(
+    g: FlowsheetGraph, rng: random.Random, numbers: Sequence[int] | None = None
+) -> FlowsheetGraph:
+    """Same plant, different equipment numbers and insertion order.
+
+    Each category's numbers are drawn from ``numbers``, by default from 1
+    to three times as many as the category has."""
     by_cat: dict[str, list[int]] = {}
     for n in g.nodes():
         ref = g.node_ref(n)
@@ -165,7 +171,7 @@ def renumber_randomly(g: FlowsheetGraph, rng: random.Random) -> FlowsheetGraph:
     mapping: dict[tuple[str, int], int] = {}
     for cat, nums in by_cat.items():
         uniq = sorted(set(nums))
-        fresh = rng.sample(range(1, len(uniq) * 3 + 1), len(uniq))
+        fresh = rng.sample(numbers or range(1, len(uniq) * 3 + 1), len(uniq))
         for old, new in zip(uniq, fresh):
             mapping[(cat, old)] = new
 

@@ -19,6 +19,8 @@ Whatever bytes or graph document it is given, ``load_json`` returns a
 graph or raises ``SchemaError`` or ``GraphInvariantError``, nothing else.
 """
 
+import dataclasses
+import itertools
 import json
 import random
 from collections import Counter
@@ -42,7 +44,9 @@ from sfiles2.canon import (
     _category_ranks, _descriptor, _Index, _reach_counts, _refine, rank_component,
 )
 from sfiles2.cli import _json_line
-from sfiles2.encode import _walk
+from sfiles2.encode import (
+    EmissionPlan, _forced_plan, _plans, _render, _walk, component_string, traverse,
+)
 from sfiles2.model import COLUMN_TAGS, CTRL_RE, EDGE_KINDS, MATERIAL
 from sfiles2.validate import REGISTRY
 
@@ -283,6 +287,63 @@ def test_rank_graph_matches_the_reference(g):
     table = rank_graph(g)
     assert table.subgraph_order == order
     assert table.rank == {name: r for comp in order for r, name in enumerate(comp, 1)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(flowsheets(), forced_flowsheets()))
+# Chains and identical trains as the benchmark scales them, and paths that
+# end in a recycle, plain or tagged.
+@example(corpus.chain(300, "hex"))
+@example(corpus.trains(200, 1))
+@example(corpus.lollipop())
+@example(
+    corpus.build(
+        ["raw-1", "dist-1", "hex-1"],
+        [("raw-1", "dist-1"), ("dist-1", "hex-1", {"tag": "tout"}), ("hex-1", "dist-1", {"tag": "tin"})],
+    )
+)
+def test_forced_plans_are_their_traversal(g):
+    # A forced component's plan, read off its walk, is the plan that the
+    # depth-first search gives the walk, field by field.
+    ix = _Index(g)
+    for comp in ix.components():
+        walk = _walk(ix, comp)
+        if walk:
+            plan, searched = _forced_plan(ix, walk), traverse(ix, walk)
+            for f in dataclasses.fields(EmissionPlan):
+                assert getattr(plan, f.name) == getattr(searched, f.name), f.name
+
+
+# Numbers of one to five digits, so that names such as raw-9, raw-10 and
+# raw-100 sort apart from their numbers.
+_DIGIT_LENGTHS = [*range(1, 21), *range(90, 121), *range(990, 1021), *range(9990, 10011)]
+
+
+def _rendered_numbered_key(ix, plan) -> tuple[str, str]:
+    """The former key of equally sized components: the generalized string,
+    then the rendered numbered string of the component's own plan."""
+    text, parts = component_string(ix, plan)
+    return text, _render(ix, parts, NUMBERED)
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_components(), st.randoms(use_true_random=False))
+@example(
+    corpus.build(
+        [f"{c}-{k}" for k in (100, 9, 10, 1) for c in ("raw", "v", "prod")],
+        [(f"{a}-{k}", f"{b}-{k}") for k in (100, 9, 10, 1) for a, b in (("raw", "v"), ("v", "prod"))],
+    ),
+    random.Random(0),
+)
+def test_unit_names_order_equal_components_as_numbered_strings(g, rng):
+    # Inside a run of equal generalized strings, unit names in text order
+    # give the order that the rendered numbered strings gave, whatever
+    # the digit lengths of the numbers.
+    for graph in (g, genflow.renumber_randomly(g, rng, _DIGIT_LENGTHS)):
+        ix = _Index(graph)
+        for _size, run in itertools.groupby(_plans(ix), key=lambda plan: len(plan.nodes)):
+            run = list(run)
+            assert run == sorted(run, key=lambda plan: _rendered_numbered_key(ix, plan))
 
 
 def _random_strings_parse_back(g, rng) -> None:
