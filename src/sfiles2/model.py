@@ -67,19 +67,20 @@ class NodeRef:
         """The ref named ``name``, which must be its one spelling (see
         ``_spelled_ref``)."""
         m = _NAME_RE.fullmatch(name)
-        ref = _spelled_ref(*m.groups()) if m else None
-        if ref is None:
+        if not m:
             raise ValueError(f"not a node name: {name!r}")
-        return ref
+        return _spelled_ref(*m.groups())
 
 
-def _spelled_ref(category: str, number: str, sub: str | None) -> NodeRef | None:
-    """The ref whose name is spelled by these parts, or None when that is
-    not its one spelling: numbers have no leading zeros, so ``raw-01`` is
-    not a name of ``raw-1``.  Raises ValueError on an invalid ref.  The
-    parser checks numbered labels with this too."""
+def _spelled_ref(category: str, number: str, sub: str | None) -> NodeRef:
+    """The ref named by these parts of a name, which must be its one
+    spelling: numbers have no leading zeros, so ``raw-01`` is not a name
+    of ``raw-1``.  The parser checks numbered labels with this too."""
     ref = NodeRef(category, int(number), None if sub is None else int(sub))
-    return None if number[0] == "0" or sub and sub[0] == "0" else ref
+    if number[0] == "0" or sub and sub[0] == "0":
+        name = f"{category}-{number}" + ("" if sub is None else f"/{sub}")
+        raise ValueError(f"not a node name: {name!r}")
+    return ref
 
 
 @dataclass(frozen=True, slots=True)

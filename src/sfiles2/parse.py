@@ -543,9 +543,7 @@ def _explicit_refs(occs: list[_Occ], groups: dict[str, list[_Occ]]) -> list[Node
     are not a consistent numbering."""
     try:
         refs = [_spelled_ref(occ.category, occ.number, occ.sub) for occ in occs]
-    except ValueError:  # a label such as (r-1/2), (raw-0) or (hex-1/0)
-        return None
-    if any(ref is None for ref in refs):  # a label such as (raw-01) or (hex-1/01)
+    except ValueError:  # a label such as (r-1/2), (raw-0), (hex-1/0) or (raw-01)
         return None
     if len({(occ.category, occ.number, occ.sub) for occ in occs}) != len(occs):
         return None
