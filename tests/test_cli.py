@@ -1,5 +1,7 @@
 """Command line interface: commands, exit codes, output formats."""
 
+import hashlib
+import importlib
 import io
 import json
 import subprocess
@@ -322,6 +324,19 @@ class TestCheck:
         assert out[1].startswith(f"{p}: FAIL (")
         assert out[2:] == [f"{fixture_path('absorber')}: ok"]
 
+    def test_roundtrip_failure_fails_check(self, tmp_path, capsys, monkeypatch):
+        # An encoder that writes a string its parser refuses.
+        parse_module = importlib.import_module("sfiles2.parse")
+        monkeypatch.setattr(parse_module, "_encode_both", lambda graph: ("(raw)[", "(raw-1)["))
+        p = tmp_path / "pair.json"
+        p.write_bytes(save_json(corpus.build(["raw-1", "prod-1"], [("raw-1", "prod-1")])))
+        rc = main(["check", str(p)])
+        assert rc == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{p}: FAIL (1 notes)",
+            "  error[roundtrip] reparse failed: unclosed-branch: still open at the end of the input",
+        ]
+
     def test_no_paths_is_a_usage_error(self, capsys):
         # An empty file list must not pass silently, as with encode and decode.
         with pytest.raises(SystemExit) as exc:
@@ -349,6 +364,18 @@ class TestRegistry:
         out = capsys.readouterr().out
         assert "category" in out.splitlines()[0]
         assert any(line.startswith("dist") for line in out.splitlines())
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "1719dca7f49ea34bc7f49ae87c59fd6bb1b953b7fe58891c68456e6788e675c8"),
+            ("table", "1b17faa25dde3d603993abb5964e6becff5681af69b8dafbf5f7d20d721f3e97"),
+        ],
+    )
+    def test_output_bytes(self, capsys, fmt, digest):
+        # The sha256 of each format's whole output: any changed byte shows.
+        assert main(["registry", "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
 _GOOD = corpus.fixture("absorber")

@@ -1,5 +1,6 @@
 """Round trips: encode, parse back, compare; randomized stress included."""
 
+import importlib
 import random
 import re
 
@@ -24,6 +25,42 @@ def test_roundtrip_check_passes_on_corpus(key):
     assert report.ok, report.problems
     assert bool(report)
     assert report.canonical == corpus.fixture(key).generalized
+
+
+# Strings an encoder is made to write for the graph raw-1 -> prod-1, whose
+# true strings are (raw)(prod) and (raw-1)(prod-1), and the one problem
+# each makes roundtrip_check report.
+_BROKEN_WRITES = {
+    "reparse-failed": (
+        "(raw)[",
+        "(raw-1)(prod-1)",
+        "reparse failed: unclosed-branch: still open at the end of the input",
+    ),
+    "not-idempotent": (
+        "(raw-1)(prod-1)",
+        "(raw-1)(prod-1)",
+        "not idempotent: '(raw-1)(prod-1)' reparsed to '(raw)(prod)'",
+    ),
+    "populations": (
+        "(raw)(v)(prod)",
+        "(raw-1)(prod-1)",
+        "node or edge populations changed across the round trip",
+    ),
+    "numbered-reparse": ("(raw)(prod)", "(raw-1)[", "numbered form did not reparse"),
+    "numbered-idempotent": ("(raw)(prod)", "(raw-1)(prod)", "numbered form is not idempotent"),
+    "numbered-graph": ("(raw)(prod)", "(raw-2)(prod-1)", "numbered round trip changed the graph"),
+}
+
+
+@pytest.mark.parametrize(
+    "generalized, numbered, problem", _BROKEN_WRITES.values(), ids=list(_BROKEN_WRITES)
+)
+def test_roundtrip_check_reports_each_problem(monkeypatch, generalized, numbered, problem):
+    parse_module = importlib.import_module("sfiles2.parse")
+    monkeypatch.setattr(parse_module, "_encode_both", lambda graph: (generalized, numbered))
+    report = roundtrip_check(corpus.build(["raw-1", "prod-1"], [("raw-1", "prod-1")]))
+    assert (report.ok, report.problems, report.canonical) == (False, [problem], generalized)
+    assert not report
 
 
 def test_out_mark_right_after_a_two_digit_in_mark():

@@ -1,5 +1,7 @@
 """Unit operation registry and structural checking."""
 
+import pytest
+
 import corpus
 from sfiles2 import REGISTRY, DegreeSpec, FlowsheetGraph, check_graph
 
@@ -89,3 +91,38 @@ def test_diagnostics_sorted_by_node():
     g.add_node("abs-1")
     diags = check_graph(g)
     assert [d.node for d in diags] == sorted(d.node for d in diags)
+
+
+# One graph per way a degree can miss its bound, and the exact diagnostics:
+# by node name, inlets before outlets.
+_DEGREE_CASES = {
+    "too-few-inlets": (
+        ["mix-1", "prod-1"],
+        [("mix-1", "prod-1")],
+        [("mix-1", "mix-1: 0 inlets, expected >=1")],
+    ),
+    "too-few-outlets": (
+        ["raw-1", "dist-1", "prod-1"],
+        [("raw-1", "dist-1"), ("dist-1", "prod-1")],
+        [("dist-1", "dist-1: 1 outlets, expected >=2")],
+    ),
+    "too-many-outlets": (
+        ["raw-1", "v-1", "v-2", "prod-1", "prod-2"],
+        [("raw-1", "v-1"), ("raw-1", "v-2"), ("v-1", "prod-1"), ("v-2", "prod-2")],
+        [("raw-1", "raw-1: 2 outlets, expected 1")],
+    ),
+    "both-sides": (
+        ["dist-1"],
+        [],
+        [("dist-1", "dist-1: 0 inlets, expected >=1"), ("dist-1", "dist-1: 0 outlets, expected >=2")],
+    ),
+}
+
+
+@pytest.mark.parametrize("nodes, edges, expected", _DEGREE_CASES.values(), ids=list(_DEGREE_CASES))
+def test_degree_messages(nodes, edges, expected):
+    diags = check_graph(corpus.build(nodes, edges))
+    assert [(d.level, d.code, d.node, d.message) for d in diags] == [
+        ("warning", "degree", node, message) for node, message in expected
+    ]
+
