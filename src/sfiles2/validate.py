@@ -28,13 +28,12 @@ class DegreeSpec:
         return True
 
     def describe(self) -> str:
-        if self.min is None and self.max is None:
-            return "any"
-        if self.min == self.max:
-            return str(self.min)
-        if self.max is None:
-            return f">={self.min}"
-        return f"{self.min}..{self.max}"
+        lo, hi = self.min, self.max
+        if lo == hi:
+            return "any" if lo is None else str(lo)
+        if hi is None:
+            return f">={lo}"
+        return f"<={hi}" if lo is None else f"{lo}..{hi}"
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,10 @@ _DEGREE_CASES = {
     "both-sides": (
         ["dist-1"],
         [],
-        [("dist-1", "dist-1: 0 inlets, expected >=1"), ("dist-1", "dist-1: 0 outlets, expected >=2")],
+        [
+            ("dist-1", "dist-1: 0 inlets, expected >=1"),
+            ("dist-1", "dist-1: 0 outlets, expected >=2"),
+        ],
     ),
 }
 
@@ -126,3 +129,17 @@ def test_degree_messages(nodes, edges, expected):
         ("warning", "degree", node, message) for node, message in expected
     ]
 
+
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        (DegreeSpec(), "any"),
+        (DegreeSpec(0, 0), "0"),
+        (DegreeSpec(2, 2), "2"),
+        (DegreeSpec(2, None), ">=2"),
+        (DegreeSpec(None, 3), "<=3"),
+        (DegreeSpec(1, 3), "1..3"),
+    ],
+)
+def test_degree_spec_describe(spec, text):
+    assert spec.describe() == text
