@@ -7,6 +7,7 @@ invariant or rendering errors, 4 parse errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -170,27 +171,15 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_registry(args) -> int:
-    rows = [
-        {
-            "category": op.category,
-            "label": op.label,
-            "term": op.term,
-            "inlets": {"min": op.inlets.min, "max": op.inlets.max},
-            "outlets": {"min": op.outlets.min, "max": op.outlets.max},
-            "extension": op.extension,
-        }
-        for op in REGISTRY.values()
-    ]
     if args.format == "json":
-        print(json.dumps(rows, indent=2))
-    else:
-        widths = (8, 24, 26)
-        print(f"{'category':<{widths[0]}} {'label':<{widths[1]}} {'term':<{widths[2]}} in       out")
-        for op in REGISTRY.values():
-            print(
-                f"{op.category:<{widths[0]}} {op.label:<{widths[1]}} {op.term:<{widths[2]}} "
-                f"{op.inlets.describe():<8} {op.outlets.describe()}"
-            )
+        print(json.dumps([dataclasses.asdict(op) for op in REGISTRY.values()], indent=2))
+        return EXIT_OK
+    print(f"{'category':<8} {'label':<24} {'term':<26} in       out")
+    for op in REGISTRY.values():
+        print(
+            f"{op.category:<8} {op.label:<24} {op.term:<26} "
+            f"{op.inlets.describe():<8} {op.outlets.describe()}"
+        )
     return EXIT_OK
 
 

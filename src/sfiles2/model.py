@@ -23,7 +23,10 @@ EDGE_KINDS = (MATERIAL, SIGNAL)
 # Column stream tags: bottom/top inlets, bottom/top draws.
 COLUMN_TAGS = ("bin", "tin", "bout", "tout")
 
-_NAME_RE = re.compile(r"([A-Za-z]+)-([0-9]+)(?:/([0-9]+))?")  # ASCII only
+# A unit label: category, then number and sub-unit index if numbered, as in
+# (hex) or (hex-1/2).  A node name needs the number.  Digits are ASCII
+# only: \d and str.isdigit also take digits such as "١".
+_LABEL_RE = re.compile(r"([A-Za-z]+)(?:-([0-9]+)(?:/([0-9]+))?)?")
 
 # The letter code of a control node, as the notation writes it in braces.
 CTRL_RE = re.compile(r"[A-Z]+")
@@ -66,8 +69,8 @@ class NodeRef:
     def parse(cls, name: str) -> NodeRef:
         """The ref named ``name``, which must be its one spelling (see
         ``_spelled_ref``)."""
-        m = _NAME_RE.fullmatch(name)
-        if not m:
+        m = _LABEL_RE.fullmatch(name)
+        if m is None or m[2] is None:
             raise ValueError(f"not a node name: {name!r}")
         return _spelled_ref(*m.groups())
 

@@ -22,11 +22,11 @@ from typing import NamedTuple
 
 from .encode import GENERALIZED, NUMBERED, _encode_both, encode
 from .errors import GraphInvariantError, ParseError
-from .model import COLUMN_TAGS, CTRL_RE, MATERIAL, SIGNAL, FlowsheetGraph, NodeRef, _spelled_ref
+from .model import (
+    COLUMN_TAGS, CTRL_RE, MATERIAL, SIGNAL, FlowsheetGraph, NodeRef, _LABEL_RE, _spelled_ref,
+)
 from .validate import REGISTRY
 
-# Digits are ASCII only: \d and str.isdigit also take digits such as "١".
-_NAME_RE = re.compile(r"([A-Za-z]+)(?:-([0-9]+)(?:/([0-9]+))?)?")
 _DIGITS_RE = re.compile(r"[0-9]+")
 
 
@@ -137,6 +137,11 @@ class _Frame:
     chain_target: int | None = None  # legacy frames: node the next <(x) feeds
     await_node: bool = False
 
+    @property
+    def end(self) -> int:
+        """An open frame is reported at its first character."""
+        return self.start + 1
+
 
 # Mark token kind -> (mark kind, side, the edge a matched pair makes, what
 # a mark says when its id is already open on the same side).
@@ -157,21 +162,20 @@ class _Machine:
         self.strict = strict
         self.diags = diags
         self.occs: list[_Occ] = []  # an occurrence's id is its index here
-        # each edge as (src, dst, kind, tag, start, end), ends by occurrence id
-        self.edges: list[tuple[int, int, str, str | None, int, int]] = []
+        # each edge as (src, dst, kind, tag, token), ends by occurrence id
+        self.edges: list[tuple[int, int, str, str | None, Token]] = []
         self.frames: list[_Frame] = []
         self.current: int | None = None
-        # pending column tag waiting for its edge: (tag, start, end)
-        self.pending: tuple[str, int, int] | None = None
+        self.pending: Token | None = None  # the brace of a column tag waiting for its edge
         self.attach: int | None = None  # occurrence open for node braces
-        # open marks, across trains: (kind, id) -> (side, occurrence, tag, start, end);
+        # open marks, across trains: (kind, id) -> (side, occurrence, tag, token);
         # only an out side carries a tag
-        self.marks: dict[tuple[str, int], tuple[str, int, str | None, int, int]] = {}
+        self.marks: dict[tuple[str, int], tuple[str, int, str | None, Token]] = {}
         self.failed = False
 
-    def error(self, code, message, start, end) -> _TrainEnd:
-        """Record an error; a handler raises what this returns."""
-        self.diags.add("error", code, message, start, end)
+    def error(self, code, message, at: Token | _Frame) -> _TrainEnd:
+        """Record an error over ``at``; a handler raises what this returns."""
+        self.diags.add("error", code, message, at.start, at.end)
         self.failed = True
         return _TrainEnd()
 
@@ -184,27 +188,26 @@ class _Machine:
     def no_tag(self, why="has no stream to mark", code="dangling-tag") -> None:
         """End the train if a column tag is waiting."""
         if self.pending is not None:
-            tag, start, end = self.pending
-            raise self.error(code, f"tag {tag!r} {why}", start, end)
+            raise self.error(code, f"tag {self.pending.text!r} {why}", self.pending)
 
     def take_tag(self) -> str | None:
         """The waiting column tag, if any, now given to an edge."""
-        tag = self.pending[0] if self.pending is not None else None
+        tag = self.pending.text if self.pending is not None else None
         self.pending = None
         return tag
 
     # -- token handlers; each raises the error that ends its train
 
     def on_error(self, tok: Token) -> None:
-        raise self.error(tok.text, _ERROR_MESSAGES[tok.text], tok.start, tok.end)
+        raise self.error(tok.text, _ERROR_MESSAGES[tok.text], tok)
 
     def on_node(self, tok: Token) -> None:
         _kind, text, start, end = tok
         if not text:
-            raise self.error("empty-node", "node has no name", start, end)
-        m = _NAME_RE.fullmatch(text)
+            raise self.error("empty-node", "node has no name", tok)
+        m = _LABEL_RE.fullmatch(text)
         if m is None:
-            raise self.error("bad-node-name", f"not a unit name: {text!r}", start, end)
+            raise self.error("bad-node-name", f"not a unit name: {text!r}", tok)
         category, number, sub = m.groups()
         idx = len(self.occs)
         self.occs.append(_Occ(category, number, sub, start, end))
@@ -212,20 +215,16 @@ class _Machine:
         if frames and frames[-1].kind == "legacy":
             frame = frames[-1]
             if not frame.await_node:
-                raise self.error(
-                    "malformed-legacy",
-                    "nodes in a legacy converging branch must follow a < mark",
-                    start,
-                    end,
-                )
+                message = "nodes in a legacy converging branch must follow a < mark"
+                raise self.error("malformed-legacy", message, tok)
             self.no_tag("cannot mark a legacy branch")
             frame.await_node = False
-            self.edges.append((idx, frame.chain_target, MATERIAL, None, start, end))
+            self.edges.append((idx, frame.chain_target, MATERIAL, None, tok))
             frame.chain_target = idx
         elif self.current is not None:
             pending = self.pending  # the waiting column tag goes to this edge
             self.pending = None
-            self.edges.append((self.current, idx, MATERIAL, pending and pending[0], start, end))
+            self.edges.append((self.current, idx, MATERIAL, pending and pending.text, tok))
         else:
             self.no_tag()
         self.current = self.attach = idx
@@ -235,22 +234,16 @@ class _Machine:
         target = self.occs[self.attach] if self.attach is not None else None
         if text in COLUMN_TAGS:
             self.no_tag()
-            self.pending = (text, tok.start, tok.end)
+            self.pending = tok
         elif target is not None and _DIGITS_RE.fullmatch(text) and target.category == "hex":
             target.group = text
         elif target is not None and CTRL_RE.fullmatch(text) and target.category == "C":
             if target.ctrl is not None:
-                raise self.error(
-                    "unknown-brace",
-                    f"control node already carries code {target.ctrl!r}",
-                    tok.start,
-                    tok.end,
-                )
+                message = f"control node already carries code {target.ctrl!r}"
+                raise self.error("unknown-brace", message, tok)
             target.ctrl = text
         elif self.strict:
-            raise self.error(
-                "unknown-brace", f"brace {text!r} is not recognized", tok.start, tok.end
-            )
+            raise self.error("unknown-brace", f"brace {text!r} is not recognized", tok)
         else:
             self.diags.add(
                 "warning", "unknown-brace", f"ignoring brace {text!r}", tok.start, tok.end
@@ -259,9 +252,7 @@ class _Machine:
     def on_branch_open(self, tok: Token, legacy_next: bool) -> None:
         self.no_tag("must follow the opening bracket")
         if self.current is None:
-            raise self.error(
-                "branch-without-node", "branch has no node to fork from", tok.start, tok.end
-            )
+            raise self.error("branch-without-node", "branch has no node to fork from", tok)
         kind = "legacy" if legacy_next else "branch"
         self.frames.append(
             _Frame(kind, owner=self.current, start=tok.start, chain_target=self.current)
@@ -270,9 +261,7 @@ class _Machine:
     def on_branch_close(self, tok: Token) -> None:
         self.no_tag()
         if not self.frames or self.frames[-1].kind not in ("branch", "legacy"):
-            raise self.error(
-                "unmatched-bracket-close", "no open branch to close", tok.start, tok.end
-            )
+            raise self.error("unmatched-bracket-close", "no open branch to close", tok)
         # the lexer emits legacy_back only in front of "(", so a node or a
         # lexer error always follows it: no legacy frame closes awaiting a node
         self.current = self.frames.pop().owner
@@ -280,12 +269,8 @@ class _Machine:
     def on_conv_open(self, tok: Token) -> None:
         self.no_tag()
         if self.current is None:
-            raise self.error(
-                "branch-without-node",
-                "converging branch has no node to merge into",
-                tok.start,
-                tok.end,
-            )
+            message = "converging branch has no node to merge into"
+            raise self.error("branch-without-node", message, tok)
         self.frames.append(_Frame("conv", owner=self.current, start=tok.start))
         self.current = None
 
@@ -293,45 +278,28 @@ class _Machine:
         # a legacy frame hides any converging frame around it
         conv = next((f for f in reversed(self.frames) if f.kind != "branch"), None)
         if conv is None or conv.kind != "conv":
-            raise self.error(
-                "stray-connector", "& is only valid inside <&|...|", tok.start, tok.end
-            )
+            raise self.error("stray-connector", "& is only valid inside <&|...|", tok)
         if conv.seen_connector:
-            raise self.error(
-                "multiple-connector",
-                "converging branch already has its & connection",
-                tok.start,
-                tok.end,
-            )
+            message = "converging branch already has its & connection"
+            raise self.error("multiple-connector", message, tok)
         if self.current is None:
-            raise self.error("mark-without-node", "& has no node to connect", tok.start, tok.end)
+            raise self.error("mark-without-node", "& has no node to connect", tok)
         conv.seen_connector = True
-        self.edges.append(
-            (self.current, conv.owner, MATERIAL, self.take_tag(), tok.start, tok.end)
-        )
+        self.edges.append((self.current, conv.owner, MATERIAL, self.take_tag(), tok))
 
     def on_conv_close(self, tok: Token) -> None:
         self.no_tag()
         if not self.frames:
-            raise self.error(
-                "unmatched-conv-close", "no open converging branch to close", tok.start, tok.end
-            )
+            message = "no open converging branch to close"
+            raise self.error("unmatched-conv-close", message, tok)
         frame = self.frames[-1]
         if frame.kind != "conv":
-            raise self.error(
-                "unclosed-branch",
-                "branch bracket is still open inside the converging branch",
-                frame.start,
-                frame.start + 1,
-            )
+            message = "branch bracket is still open inside the converging branch"
+            raise self.error("unclosed-branch", message, frame)
         self.frames.pop()
         if not frame.seen_connector:
-            raise self.error(
-                "missing-connector",
-                "converging branch closed without its & connection",
-                tok.start,
-                tok.end,
-            )
+            message = "converging branch closed without its & connection"
+            raise self.error("missing-connector", message, tok)
         self.current = frame.owner
 
     def on_mark(self, tok: Token) -> None:
@@ -345,30 +313,26 @@ class _Machine:
         else:
             tag = self.take_tag()  # the out side owns the column tag
         if self.current is None:
-            raise self.error("mark-without-node", f"{kind} mark has no node", tok.start, tok.end)
+            raise self.error("mark-without-node", f"{kind} mark has no node", tok)
         key = (kind, int(tok.text))
         open_ = self.marks.get(key)
         if open_ is None:
-            self.marks[key] = (side, self.current, tag, tok.start, tok.end)
+            self.marks[key] = (side, self.current, tag, tok)
             return
-        other, occ, open_tag, _s, _e = open_
+        other, occ, open_tag, _tok = open_
         if other == side:
-            raise self.error(f"dangling-{kind}", f"{kind} {key[1]} {clash}", tok.start, tok.end)
+            raise self.error(f"dangling-{kind}", f"{kind} {key[1]} {clash}", tok)
         del self.marks[key]
         if side == "out":
             src, dst = self.current, occ
         else:
             src, dst, tag = occ, self.current, open_tag
-        self.edges.append((src, dst, edge_kind, tag, tok.start, tok.end))
+        self.edges.append((src, dst, edge_kind, tag, tok))
 
     def on_legacy_back(self, tok: Token) -> None:
         if not self.frames or self.frames[-1].kind != "legacy":
-            raise self.error(
-                "malformed-legacy",
-                "backward connection is only valid inside [<(...) branches",
-                tok.start,
-                tok.end,
-            )
+            message = "backward connection is only valid inside [<(...) branches"
+            raise self.error("malformed-legacy", message, tok)
         self.frames[-1].await_node = True
 
     def on_train_sep(self, tok: Token) -> None:
@@ -376,9 +340,7 @@ class _Machine:
         if self.frames:
             frame = self.frames[-1]
             code = "unclosed-converging" if frame.kind == "conv" else "unclosed-branch"
-            raise self.error(
-                code, "still open at the train separator", frame.start, frame.start + 1
-            )
+            raise self.error(code, "still open at the train separator", frame)
         self.current = None
 
     def finish(self) -> None:
@@ -387,10 +349,10 @@ class _Machine:
             self.no_tag()
         for frame in self.frames:
             code = "unclosed-converging" if frame.kind == "conv" else "unclosed-branch"
-            self.error(code, "still open at the end of the input", frame.start, frame.start + 1)
+            self.error(code, "still open at the end of the input", frame)
         # recycles before signals, each in id order
-        for (kind, mid), (_side, _occ, _tag, s, e) in sorted(self.marks.items()):
-            self.error(f"dangling-{kind}", f"{kind} {mid} is never matched", s, e)
+        for (kind, mid), (_side, _occ, _tag, tok) in sorted(self.marks.items()):
+            self.error(f"dangling-{kind}", f"{kind} {mid} is never matched", tok)
 
 
 # Token kind -> its handler; branch_open looks one token ahead instead.
@@ -529,11 +491,11 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
     names = graph.nodes()  # in occurrence order
 
     add_edge = graph.add_edge
-    for src, dst, kind, tag, start, end in m.edges:
+    for src, dst, kind, tag, at in m.edges:
         try:
             add_edge(names[src], names[dst], kind, tag)
         except GraphInvariantError as exc:
-            diags.add("error", "graph-invariant", str(exc), start, end)
+            diags.add("error", "graph-invariant", str(exc), at.start, at.end)
             failed = True
     return None if failed else graph
 

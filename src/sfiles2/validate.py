@@ -118,14 +118,8 @@ def check_graph(graph: FlowsheetGraph, strict: bool = False) -> list[GraphDiagno
         op = REGISTRY.get(ref.category)
         if op is None:
             level = "error" if strict else "warning"
-            out.append(
-                GraphDiagnostic(
-                    level,
-                    "unknown-category",
-                    name,
-                    f"{name}: category {ref.category!r} is not in the registry",
-                )
-            )
+            message = f"{name}: category {ref.category!r} is not in the registry"
+            out.append(GraphDiagnostic(level, "unknown-category", name, message))
             continue
         if ref.category == "C":
             # Controllers count every incident connection, signals included.
@@ -138,22 +132,8 @@ def check_graph(graph: FlowsheetGraph, strict: bool = False) -> list[GraphDiagno
                 for dst, attr in graph.out_edges(name)
                 if attr.kind == MATERIAL and not _is_mount_edge(graph, dst)
             )
-        if not op.inlets.admits(n_in):
-            out.append(
-                GraphDiagnostic(
-                    "warning",
-                    "degree",
-                    name,
-                    f"{name}: {n_in} inlets, expected {op.inlets.describe()}",
-                )
-            )
-        if not op.outlets.admits(n_out):
-            out.append(
-                GraphDiagnostic(
-                    "warning",
-                    "degree",
-                    name,
-                    f"{name}: {n_out} outlets, expected {op.outlets.describe()}",
-                )
-            )
+        for n, spec, side in ((n_in, op.inlets, "inlets"), (n_out, op.outlets, "outlets")):
+            if not spec.admits(n):
+                message = f"{name}: {n} {side}, expected {spec.describe()}"
+                out.append(GraphDiagnostic("warning", "degree", name, message))
     return out
