@@ -16,15 +16,17 @@ between copies or sharing exchanger shells across copies
 ``corpus.shell_trains``, ``corpus.half_controlled_trains`` and
 ``corpus.lollipop``, and a renumbered copy of the first two
 (``genflow.renumber_randomly``).  It also parses every ``decode_long``
-text at seed 1 (truncations and ``corpus.MALFORMED`` included) and 20,000
-seeded joins of ``corpus.FRAGMENTS``.  A parse is hashed as the graph's
-``save_json`` (or None) and each diagnostic's level, code, message, start
-and end.  Last come in-process runs of the ``encode``, ``decode``,
-``canon`` and ``check`` commands, each hashed as its exit code (or the
-exception it raised), stdout, stderr and ``-o`` bytes: over the fixture
-files, their strings, ``corpus.MALFORMED``, malformed graph files, stdin,
-and batches with a bad item in the middle.  Two checkouts that print the
-same digest write the same bytes, decode every one of these strings
+text at seed 1 (truncations and ``corpus.MALFORMED`` included), 20,000
+seeded joins of ``corpus.FRAGMENTS`` and the ``SPELLINGS``, numbered
+strings with labels that are not the one spelling of a name.  A parse is
+hashed as the graph's ``save_json`` (or None) and each diagnostic's
+level, code, message, start and end.  Last come in-process runs of the
+``encode``, ``decode``, ``canon``, ``check`` and ``registry`` commands,
+each hashed as its exit code (or the exception it raised), stdout,
+stderr and ``-o`` bytes: over the fixture files, their strings,
+``corpus.MALFORMED``, malformed graph files, stdin, batches with a bad
+item in the middle, and both registry formats.  Two checkouts that print
+the same digest write the same bytes, decode every one of these strings
 alike and give the same command line results.  The program is imported
 from ``PYTHONPATH``; the inputs come from this file's own checkout.
 
@@ -98,11 +100,16 @@ def graphs():
     yield genflow.renumber_randomly(corpus.shell_trains(), rng)
 
 
+# Labels with leading zeros: the parser renumbers such a string with a warning.
+SPELLINGS = ["(raw-01)(prod-1)", "(raw-1)(v-007)(prod-1)", "(raw-1)(hex-1/01)(prod-1)"]
+
+
 def texts():
     yield from (text.text for text in gen.decode_long(1, corpus.MALFORMED))
     rng = random.Random(11)
     for _ in range(20000):
         yield "".join(rng.choice(corpus.FRAGMENTS) for _ in range(rng.randrange(21)))
+    yield from SPELLINGS
 
 
 def _field(make) -> str:
@@ -238,6 +245,8 @@ def cli_runs():
             for flags in ([], ["--lenient"]):
                 yield run_cli([cmd, *flags, strings[0], text, strings[1]])
                 yield run_cli([cmd, *flags, strings[0], text, strings[1], "-o", "out"])
+    for fmt in ("json", "table"):
+        yield run_cli(["registry", "--format", fmt])
 
 
 def main() -> int:
