@@ -290,8 +290,7 @@ class _Machine:
     def on_conv_close(self, tok: Token) -> None:
         self.no_tag()
         if not self.frames:
-            message = "no open converging branch to close"
-            raise self.error("unmatched-conv-close", message, tok)
+            raise self.error("unmatched-conv-close", "no open converging branch to close", tok)
         frame = self.frames[-1]
         if frame.kind != "conv":
             message = "branch bracket is still open inside the converging branch"

@@ -334,7 +334,8 @@ class TestCheck:
         assert rc == 1
         assert capsys.readouterr().out.splitlines() == [
             f"{p}: FAIL (1 notes)",
-            "  error[roundtrip] reparse failed: unclosed-branch: still open at the end of the input",
+            "  error[roundtrip] reparse failed: unclosed-branch:"
+            " still open at the end of the input",
         ]
 
     def test_no_paths_is_a_usage_error(self, capsys):
