@@ -50,8 +50,9 @@ class Diagnostic:
 class ParseDiagnostics:
     entries: list[Diagnostic] = field(default_factory=list)
 
-    def add(self, level, code, message, start, end):
-        self.entries.append(Diagnostic(level, code, message, start, end))
+    def add(self, level, code, message, at):
+        """Record a diagnostic over ``at``: a token, an open frame or a unit."""
+        self.entries.append(Diagnostic(level, code, message, at.start, at.end))
 
     def errors(self) -> list[Diagnostic]:
         return [d for d in self.entries if d.level == "error"]
@@ -60,7 +61,10 @@ class ParseDiagnostics:
         return [d for d in self.entries if d.level == "warning"]
 
     def ok(self) -> bool:
-        return not self.errors()
+        for d in self.entries:
+            if d.level == "error":
+                return False
+        return True
 
 
 # The lexical grammar, one row per token rule in priority order:
@@ -171,12 +175,10 @@ class _Machine:
         # open marks, across trains: (kind, id) -> (side, occurrence, tag, token);
         # only an out side carries a tag
         self.marks: dict[tuple[str, int], tuple[str, int, str | None, Token]] = {}
-        self.failed = False
 
     def error(self, code, message, at: Token | _Frame) -> _TrainEnd:
         """Record an error over ``at``; a handler raises what this returns."""
-        self.diags.add("error", code, message, at.start, at.end)
-        self.failed = True
+        self.diags.add("error", code, message, at)
         return _TrainEnd()
 
     def reset_train(self):
@@ -245,9 +247,7 @@ class _Machine:
         elif self.strict:
             raise self.error("unknown-brace", f"brace {text!r} is not recognized", tok)
         else:
-            self.diags.add(
-                "warning", "unknown-brace", f"ignoring brace {text!r}", tok.start, tok.end
-            )
+            self.diags.add("warning", "unknown-brace", f"ignoring brace {text!r}", tok)
 
     def on_branch_open(self, tok: Token, legacy_next: bool) -> None:
         self.no_tag("must follow the opening bracket")
@@ -392,79 +392,50 @@ def _run_machine(tokens: list[Token], strict: bool, diags: ParseDiagnostics) -> 
                 i += 1
             m.reset_train()
         i += 1
-    if not m.failed:
+    if diags.ok():
         m.finish()
     return m
 
 
 def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGraph | None:
     occs = m.occs
-    failed = False
     numbered = 0
     groups: dict[str, list[_Occ]] = {}
     for occ in occs:
         if occ.category not in REGISTRY:
-            diags.add(
-                "error" if strict else "warning",
-                "unknown-category",
-                f"category {occ.category!r} is not in the registry"
-                if strict
-                else f"treating unknown category {occ.category!r} as X",
-                occ.start,
-                occ.end,
-            )
             if strict:
-                failed = True
+                message = f"category {occ.category!r} is not in the registry"
+                diags.add("error", "unknown-category", message, occ)
             else:
+                message = f"treating unknown category {occ.category!r} as X"
+                diags.add("warning", "unknown-category", message, occ)
                 occ.category = "X"
                 occ.number = None
                 occ.sub = None
         if occ.category == "C" and occ.ctrl is None:
-            diags.add(
-                "error",
-                "missing-ctrl-code",
-                "control node is missing its letter code",
-                occ.start,
-                occ.end,
-            )
-            failed = True
+            diags.add("error", "missing-ctrl-code", "control node is missing its letter code", occ)
         if occ.number is not None:
             numbered += 1
         if occ.group is not None:
             groups.setdefault(occ.group, []).append(occ)
-    if failed:
+    if not diags.ok():
         return None
 
     for label in [l for l, members in groups.items() if len(members) == 1]:
         occ = groups.pop(label)[0]
-        diags.add(
-            "warning",
-            "singleton-group",
-            f"group {{{label}}} has a single member, treating it as ungrouped",
-            occ.start,
-            occ.end,
-        )
+        message = f"group {{{label}}} has a single member, treating it as ungrouped"
+        diags.add("warning", "singleton-group", message, occ)
         occ.group = None
 
     refs = None
     if occs and numbered == len(occs):
         refs = _explicit_refs(occs, groups)
         if refs is None:
-            diags.add(
-                "warning",
-                "renumbered",
-                "explicit numbering is inconsistent, assigning fresh numbers",
-                occs[0].start,
-                occs[0].end,
-            )
+            message = "explicit numbering is inconsistent, assigning fresh numbers"
+            diags.add("warning", "renumbered", message, occs[0])
     elif numbered:
-        diags.add(
-            "warning",
-            "mixed-numbering",
-            "only some nodes carry numbers, assigning fresh numbers",
-            occs[0].start,
-            occs[0].end,
-        )
+        message = "only some nodes carry numbers, assigning fresh numbers"
+        diags.add("warning", "mixed-numbering", message, occs[0])
 
     if refs is None:
         # by first occurrence per category; a group counts as one exchanger
@@ -494,9 +465,8 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
         try:
             add_edge(names[src], names[dst], kind, tag)
         except GraphInvariantError as exc:
-            diags.add("error", "graph-invariant", str(exc), at.start, at.end)
-            failed = True
-    return None if failed else graph
+            diags.add("error", "graph-invariant", str(exc), at)
+    return graph if diags.ok() else None
 
 
 def _explicit_refs(occs: list[_Occ], groups: dict[str, list[_Occ]]) -> list[NodeRef] | None:
@@ -524,14 +494,13 @@ def _explicit_refs(occs: list[_Occ], groups: dict[str, list[_Occ]]) -> list[Node
 def parse(text: str, strict: bool = True) -> tuple[FlowsheetGraph | None, ParseDiagnostics]:
     """Parse one SFILES string.
 
-    Returns the reconstructed graph and the diagnostics; the graph is
-    None whenever any error-level diagnostic was produced.
+    Returns the reconstructed graph and the diagnostics.  The parse has
+    failed exactly when an error was recorded, that is when ``diags.ok()``
+    is false, and then the graph is None.
     """
     diags = ParseDiagnostics()
     m = _run_machine(tokenize(text), strict, diags)
-    if m.failed:  # every machine error sets it
-        return None, diags
-    return _finalize(m, strict, diags), diags
+    return (_finalize(m, strict, diags) if diags.ok() else None), diags
 
 
 def parse_sfiles(text: str, strict: bool = True) -> FlowsheetGraph:

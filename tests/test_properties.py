@@ -79,7 +79,7 @@ def test_parse_reports_in_bounds_and_returns_a_graph_only_without_errors(strict,
     graph, diags = parse(text, strict=strict)
     for d in diags.entries:
         assert 0 <= d.start <= d.end <= len(text), d
-    assert (graph is None) == bool(diags.errors())
+    assert (graph is None) == bool(diags.errors()) == (not diags.ok())
 
 
 @st.composite
