@@ -421,18 +421,18 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
     if not diags.ok():
         return None
 
-    for label in [l for l, members in groups.items() if len(members) == 1]:
-        occ = groups.pop(label)[0]
-        message = f"group {{{label}}} has a single member, treating it as ungrouped"
-        diags.add("warning", "singleton-group", message, occ)
-        occ.group = None
+    for label, (occ, *others) in groups.items():
+        if not others:
+            message = f"group {{{label}}} has a single member, treating it as ungrouped"
+            diags.add("warning", "singleton-group", message, occ)
+            occ.group = None
 
     refs = None
     if occs and numbered == len(occs):
-        refs = _explicit_refs(occs, groups)
-        if refs is None:
+        refs, bad = _explicit_refs(occs)
+        if bad is not None:
             message = "explicit numbering is inconsistent, assigning fresh numbers"
-            diags.add("warning", "renumbered", message, occs[0])
+            diags.add("warning", "renumbered", message, bad)
     elif numbered:
         message = "only some nodes carry numbers, assigning fresh numbers"
         diags.add("warning", "mixed-numbering", message, occs[0])
@@ -469,26 +469,36 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
     return graph if diags.ok() else None
 
 
-def _explicit_refs(occs: list[_Occ], groups: dict[str, list[_Occ]]) -> list[NodeRef] | None:
-    """The nodes named by the string's own labels, or None when those labels
-    are not a consistent numbering."""
-    try:
-        refs = [_spelled_ref(occ.category, occ.number, occ.sub) for occ in occs]
-    except ValueError:  # a label such as (r-1/2), (raw-0), (hex-1/0) or (raw-01)
-        return None
-    if len({(occ.category, occ.number, occ.sub) for occ in occs}) != len(occs):
-        return None
-    for members in groups.values():
-        if len({o.number for o in members}) != 1 or any(o.sub is None for o in members):
-            return None
-    if len({members[0].number for members in groups.values()}) != len(groups):
-        return None
-    # plain and sub-unit spellings of one exchanger cannot coexist; only
-    # exchangers carry sub-units
-    plain = {occ.number for occ in occs if occ.category == "hex" and occ.sub is None}
-    if any(occ.sub is not None and occ.number in plain for occ in occs):
-        return None
-    return refs
+def _explicit_refs(occs: list[_Occ]) -> tuple[list[NodeRef] | None, _Occ | None]:
+    """The nodes that the string's own labels name and None, or None and the
+    first label at which the labels so far stop being a consistent
+    numbering: each label is its name's one spelling and repeats no label
+    before it, an exchanger is written plain or as sub-units but not both,
+    and groups hold sub-units, one number per group and one group per number."""
+    refs = []
+    seen = set()
+    plain: dict[str, bool] = {}  # exchanger number -> written without a sub-unit
+    group_number: dict[str, str] = {}
+    number_group: dict[str, str] = {}
+    for occ in occs:
+        number, sub, group = occ.number, occ.sub, occ.group
+        key = (occ.category, number, sub)
+        try:  # only exchangers carry sub-units
+            refs.append(_spelled_ref(*key))
+        except ValueError:  # a label such as (r-1/2), (raw-0), (hex-1/0) or (raw-01)
+            return None, occ
+        if (
+            key in seen
+            or (occ.category == "hex" and plain.setdefault(number, sub is None) != (sub is None))
+            or group is not None and (
+                sub is None
+                or group_number.setdefault(group, number) != number
+                or number_group.setdefault(number, group) != group
+            )
+        ):
+            return None, occ
+        seen.add(key)
+    return refs, None
 
 
 def parse(text: str, strict: bool = True) -> tuple[FlowsheetGraph | None, ParseDiagnostics]:

@@ -288,7 +288,7 @@ CASES = [
         "(raw-1)(v-1)(mix-1)(prod-1)n|(raw-1)(mix-1)",
         [
             ("warning", "renumbered",
-             "explicit numbering is inconsistent, assigning fresh numbers", 0, 7),
+             "explicit numbering is inconsistent, assigning fresh numbers", 29, 36),
         ],
         SAME,
     ),
@@ -297,7 +297,7 @@ CASES = [
         "(raw-1)(hex-1/1){1}(hex-2/2){1}(prod-1)",
         [
             ("warning", "renumbered",
-             "explicit numbering is inconsistent, assigning fresh numbers", 0, 7),
+             "explicit numbering is inconsistent, assigning fresh numbers", 19, 28),
         ],
         SAME,
     ),
@@ -305,7 +305,7 @@ CASES = [
         "(raw-1)(hex-1/1){1}(hex-1/2){1}(prod-1)n|(raw-2)(hex-1/3){2}(hex-1/4){2}(prod-2)",
         [
             ("warning", "renumbered",
-             "explicit numbering is inconsistent, assigning fresh numbers", 0, 7),
+             "explicit numbering is inconsistent, assigning fresh numbers", 48, 57),
         ],
         SAME,
     ),
@@ -322,7 +322,7 @@ CASES = [
         "(raw-1)(v-007)(prod-1)",
         [
             ("warning", "renumbered",
-             "explicit numbering is inconsistent, assigning fresh numbers", 0, 7),
+             "explicit numbering is inconsistent, assigning fresh numbers", 7, 14),
         ],
         SAME,
     ),
@@ -330,7 +330,50 @@ CASES = [
         "(raw-1)(hex-1/01)(prod-1)",
         [
             ("warning", "renumbered",
-             "explicit numbering is inconsistent, assigning fresh numbers", 0, 7),
+             "explicit numbering is inconsistent, assigning fresh numbers", 7, 17),
+        ],
+        SAME,
+    ),
+    # an exchanger written plain and as sub-units, in either order
+    (
+        "(raw-1)(hex-1/1)(hex-1)(prod-1)",
+        [
+            ("warning", "renumbered",
+             "explicit numbering is inconsistent, assigning fresh numbers", 16, 23),
+        ],
+        SAME,
+    ),
+    (
+        "(raw-1)(hex-1)(hex-1/1)(prod-1)",
+        [
+            ("warning", "renumbered",
+             "explicit numbering is inconsistent, assigning fresh numbers", 14, 23),
+        ],
+        SAME,
+    ),
+    # a group on a plain exchanger
+    (
+        "(raw-1)(hex-1){1}(hex-2/1){1}(prod-1)",
+        [
+            ("warning", "renumbered",
+             "explicit numbering is inconsistent, assigning fresh numbers", 7, 14),
+        ],
+        SAME,
+    ),
+    # a sub-unit on a unit that is not an exchanger, and the number 0
+    (
+        "(raw-1)(r-1/2)(prod-1)",
+        [
+            ("warning", "renumbered",
+             "explicit numbering is inconsistent, assigning fresh numbers", 7, 14),
+        ],
+        SAME,
+    ),
+    (
+        "(raw-1)(v-0)(prod-1)",
+        [
+            ("warning", "renumbered",
+             "explicit numbering is inconsistent, assigning fresh numbers", 7, 12),
         ],
         SAME,
     ),

@@ -26,7 +26,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import canon_oracle
@@ -376,6 +376,27 @@ def test_random_numbered_strings_parse_back(graphs):
     rng = random.Random(3)
     for g in graphs():
         _random_strings_parse_back(g, rng)
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(flowsheets(), repeated_components()), st.data())
+def test_a_repeated_label_is_renumbered_where_it_repeats(strict, g, data):
+    # Writing an earlier label of its category in place of the k-th label
+    # of a numbered string keeps the labels before it consistent, so the
+    # one diagnostic points at the k-th label, and the graph still builds.
+    text = str(encode(g, NUMBERED))
+    labels = [tok for tok in tokenize(text) if tok.kind == "node"]
+    category = [tok.text.split("-")[0] for tok in labels]
+    pairs = [(j, k) for k in range(len(labels)) for j in range(k) if category[j] == category[k]]
+    assume(pairs)
+    j, k = data.draw(st.sampled_from(pairs))
+    at, label = labels[k], labels[j].text
+    back, diags = parse(text[: at.start + 1] + label + text[at.end - 1 :], strict=strict)
+    assert back is not None
+    assert [(d.code, d.start, d.end) for d in diags.entries] == [
+        ("renumbered", at.start, at.start + len(label) + 2)
+    ]
 
 
 # Parts of graph documents, valid and not, for the loader property.
