@@ -238,6 +238,9 @@ class _Machine:
             self.no_tag()
             self.pending = tok
         elif target is not None and _DIGITS_RE.fullmatch(text) and target.category == "hex":
+            if target.group is not None:
+                message = f"exchanger already belongs to group {{{target.group}}}"
+                raise self.error("unknown-brace", message, tok)
             target.group = text
         elif target is not None and CTRL_RE.fullmatch(text) and target.category == "C":
             if target.ctrl is not None:
@@ -399,7 +402,7 @@ def _run_machine(tokens: list[Token], strict: bool, diags: ParseDiagnostics) -> 
 
 def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGraph | None:
     occs = m.occs
-    numbered = 0
+    odd = None  # the first unit unlike the first unit in carrying a number
     groups: dict[str, list[_Occ]] = {}
     for occ in occs:
         if occ.category not in REGISTRY:
@@ -414,8 +417,8 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
                 occ.sub = None
         if occ.category == "C" and occ.ctrl is None:
             diags.add("error", "missing-ctrl-code", "control node is missing its letter code", occ)
-        if occ.number is not None:
-            numbered += 1
+        if odd is None and (occ.number is None) != (occs[0].number is None):
+            odd = occ
         if occ.group is not None:
             groups.setdefault(occ.group, []).append(occ)
     if not diags.ok():
@@ -428,14 +431,14 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
             occ.group = None
 
     refs = None
-    if occs and numbered == len(occs):
+    if odd is not None:
+        message = "only some nodes carry numbers, assigning fresh numbers"
+        diags.add("warning", "mixed-numbering", message, odd)
+    elif occs and occs[0].number is not None:
         refs, bad = _explicit_refs(occs)
         if bad is not None:
             message = "explicit numbering is inconsistent, assigning fresh numbers"
             diags.add("warning", "renumbered", message, bad)
-    elif numbered:
-        message = "only some nodes carry numbers, assigning fresh numbers"
-        diags.add("warning", "mixed-numbering", message, occs[0])
 
     if refs is None:
         # by first occurrence per category; a group counts as one exchanger
@@ -483,7 +486,7 @@ def _explicit_refs(occs: list[_Occ]) -> tuple[list[NodeRef] | None, _Occ | None]
     for occ in occs:
         number, sub, group = occ.number, occ.sub, occ.group
         key = (occ.category, number, sub)
-        try:  # only exchangers carry sub-units
+        try:
             refs.append(_spelled_ref(*key))
         except ValueError:  # a label such as (r-1/2), (raw-0), (hex-1/0) or (raw-01)
             return None, occ

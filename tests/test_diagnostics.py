@@ -41,6 +41,17 @@ CASES = [
         [("error", "unknown-brace", "control node already carries code 'PC'", 12, 16)],
         SAME,
     ),
+    # a second group brace, as a second control code, is an error in both modes
+    (
+        "(raw)(hex){1}{2}(prod)n|(raw)(hex){2}(prod)",
+        [("error", "unknown-brace", "exchanger already belongs to group {1}", 13, 16)],
+        SAME,
+    ),
+    (
+        "(raw)(hex){1}{1}(prod)",
+        [("error", "unknown-brace", "exchanger already belongs to group {1}", 13, 16)],
+        SAME,
+    ),
     (
         "(raw){blue}(prod)",
         [("error", "unknown-brace", "brace 'blue' is not recognized", 5, 11)],
@@ -381,7 +392,15 @@ CASES = [
         "(raw-7)(v)(prod-2)",
         [
             ("warning", "mixed-numbering",
-             "only some nodes carry numbers, assigning fresh numbers", 0, 7),
+             "only some nodes carry numbers, assigning fresh numbers", 7, 10),
+        ],
+        SAME,
+    ),
+    (
+        "(raw)(v-1)(prod)",
+        [
+            ("warning", "mixed-numbering",
+             "only some nodes carry numbers, assigning fresh numbers", 5, 10),
         ],
         SAME,
     ),
