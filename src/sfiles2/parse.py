@@ -413,8 +413,6 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
                 message = f"treating unknown category {occ.category!r} as X"
                 diags.add("warning", "unknown-category", message, occ)
                 occ.category = "X"
-                occ.number = None
-                occ.sub = None
         if occ.category == "C" and occ.ctrl is None:
             diags.add("error", "missing-ctrl-code", "control node is missing its letter code", occ)
         if odd is None and (occ.number is None) != (occs[0].number is None):
@@ -430,19 +428,19 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
             diags.add("warning", "singleton-group", message, occ)
             occ.group = None
 
-    refs = None
+    graph = None
     if odd is not None:
         message = "only some nodes carry numbers, assigning fresh numbers"
         diags.add("warning", "mixed-numbering", message, odd)
     elif occs and occs[0].number is not None:
-        refs, bad = _explicit_refs(occs)
+        graph, bad = _labelled_graph(occs)
         if bad is not None:
             message = "explicit numbering is inconsistent, assigning fresh numbers"
             diags.add("warning", "renumbered", message, bad)
 
-    if refs is None:
+    if graph is None:
         # by first occurrence per category; a group counts as one exchanger
-        refs = []
+        graph = FlowsheetGraph()
         counters: dict[str, int] = {}
         group_eq: dict[str, list[int]] = {}
         for occ in occs:
@@ -452,15 +450,10 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
                     counters["hex"] = counters.get("hex", 0) + 1
                     ge = group_eq[occ.group] = [counters["hex"], 0]
                 ge[1] += 1
-                refs.append(NodeRef("hex", ge[0], ge[1]))
+                graph.add_node(NodeRef("hex", ge[0], ge[1]))
             else:
                 number = counters[occ.category] = counters.get(occ.category, 0) + 1
-                refs.append(NodeRef(occ.category, number))
-
-    graph = FlowsheetGraph()
-    add_node = graph.add_node
-    for occ, ref in zip(occs, refs):
-        add_node(ref, occ.ctrl)
+                graph.add_node(NodeRef(occ.category, number), occ.ctrl)
     names = graph.nodes()  # in occurrence order
 
     add_edge = graph.add_edge
@@ -472,36 +465,29 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
     return graph if diags.ok() else None
 
 
-def _explicit_refs(occs: list[_Occ]) -> tuple[list[NodeRef] | None, _Occ | None]:
-    """The nodes that the string's own labels name and None, or None and the
-    first label at which the labels so far stop being a consistent
-    numbering: each label is its name's one spelling and repeats no label
-    before it, an exchanger is written plain or as sub-units but not both,
-    and groups hold sub-units, one number per group and one group per number."""
-    refs = []
-    seen = set()
-    plain: dict[str, bool] = {}  # exchanger number -> written without a sub-unit
+def _labelled_graph(occs: list[_Occ]) -> tuple[FlowsheetGraph | None, _Occ | None]:
+    """The graph that the string's own labels name and None, or None and
+    the first label that the model refuses as a name of the graph so far
+    or whose group brace breaks the parser's rules: groups hold
+    sub-units, one number per group and one group per number."""
+    graph = FlowsheetGraph()
     group_number: dict[str, str] = {}
     number_group: dict[str, str] = {}
     for occ in occs:
-        number, sub, group = occ.number, occ.sub, occ.group
-        key = (occ.category, number, sub)
+        number, group = occ.number, occ.group
         try:
-            refs.append(_spelled_ref(*key))
-        except ValueError:  # a label such as (r-1/2), (raw-0), (hex-1/0) or (raw-01)
+            # ValueError for a label such as (r-1/2), (raw-0) or (raw-01);
+            # GraphInvariantError for a repeated name or a plain/sub-unit mix
+            graph.add_node(_spelled_ref(occ.category, number, occ.sub), occ.ctrl)
+        except (ValueError, GraphInvariantError):
             return None, occ
-        if (
-            key in seen
-            or (occ.category == "hex" and plain.setdefault(number, sub is None) != (sub is None))
-            or group is not None and (
-                sub is None
-                or group_number.setdefault(group, number) != number
-                or number_group.setdefault(number, group) != group
-            )
+        if group is not None and (
+            occ.sub is None
+            or group_number.setdefault(group, number) != number
+            or number_group.setdefault(number, group) != group
         ):
             return None, occ
-        seen.add(key)
-    return refs, None
+    return graph, None
 
 
 def parse(text: str, strict: bool = True) -> tuple[FlowsheetGraph | None, ParseDiagnostics]:

@@ -487,3 +487,44 @@ def test_leading_zero_labels_take_fresh_numbers(text, nodes, strict):
     g, diags = parse(text, strict=strict)
     assert [d.code for d in diags.entries] == ["renumbered"]
     assert sorted(g.nodes()) == nodes
+
+
+_UNKNOWN = "treating unknown category 'frob' as X"
+_RENUMBERED = "explicit numbering is inconsistent, assigning fresh numbers"
+
+
+@pytest.mark.parametrize(
+    "text, nodes, diagnostics",
+    [
+        (
+            "(raw-3)(frob-1)(v-5)(prod-2)",
+            ["raw-3", "X-1", "v-5", "prod-2"],
+            [("warning", "unknown-category", _UNKNOWN, 7, 15)],
+        ),
+        # the unknown unit takes the name X-1 that a later label repeats
+        (
+            "(raw-1)(frob-1)(X-1)(prod-1)",
+            ["raw-1", "X-1", "X-2", "prod-1"],
+            [
+                ("warning", "unknown-category", _UNKNOWN, 7, 15),
+                ("warning", "renumbered", _RENUMBERED, 15, 20),
+            ],
+        ),
+        # only an exchanger has sub-units
+        (
+            "(raw-1)(frob-1/2)(prod-1)",
+            ["raw-1", "X-1", "prod-1"],
+            [
+                ("warning", "unknown-category", _UNKNOWN, 7, 17),
+                ("warning", "renumbered", _RENUMBERED, 7, 17),
+            ],
+        ),
+    ],
+    ids=["numbered", "repeated-name", "sub-unit"],
+)
+def test_lenient_unknown_category_keeps_its_label(text, nodes, diagnostics):
+    # Lenient parsing reads an unknown category as X and keeps the unit's
+    # number, so the model decides whether X-n names the unit.
+    g, diags = parse(text, strict=False)
+    assert [(d.level, d.code, d.message, d.start, d.end) for d in diags.entries] == diagnostics
+    assert g.nodes() == nodes

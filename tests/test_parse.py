@@ -144,6 +144,17 @@ class TestReconstruction:
         multi = [v for v in g.equipment_groups().values() if len(v) > 1]
         assert multi == [["hex-1/1", "hex-1/2"]]
 
+    def test_numbered_sub_units_share_a_shell_without_group_braces(self):
+        # In a numbered string the labels alone name a shared shell.
+        g, diags = parse("(raw-1)(hex-1/1)(hex-1/2)(prod-1)")
+        assert diags.entries == []
+        assert g == parse_sfiles("(raw-1)(hex-1/1){1}(hex-1/2){1}(prod-1)")
+
+    def test_generalized_exchangers_without_group_braces_are_plain(self):
+        g, diags = parse("(raw)(hex)(hex)(prod)")
+        assert diags.entries == []
+        assert g.nodes() == ["raw-1", "hex-1", "hex-2", "prod-1"]
+
     def test_singleton_group_brace_is_dropped(self):
         g, diags = parse("(raw)(hex){1}(prod)", strict=False)
         assert g is not None

@@ -13,7 +13,9 @@ returns the reference's table.  A graph of forced components, which
 encoding never ranks, encodes to the same generalized string under any
 renumbering.  A numbered string written from any rank order
 (``genflow.random_string``) parses back to the same graph and
-re-encodes to the canonical string.
+re-encodes to the canonical string.  Parsed leniently with one unit's
+category unregistered, it gives the same graph with that unit named X
+and its number kept.
 
 Whatever bytes or graph document it is given, ``load_json`` returns a
 graph or raises ``SchemaError`` or ``GraphInvariantError``, nothing else.
@@ -116,6 +118,33 @@ def test_numbered_string_parses_back_to_the_graph(g):
     back, diags = parse(text)
     assert [(d.code, d.message) for d in diags.entries] == [], text
     assert back == g, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(flowsheets(), st.data())
+def test_lenient_parse_reads_an_unknown_category_as_x_with_its_number(g, data):
+    # One unit of the numbered string gets an unregistered category; a C
+    # unit needs its code brace and only an exchanger has sub-units, so
+    # neither can become X, and X-n must not name another unit already.
+    def renamable(name):
+        ref = g.node_ref(name)
+        x = f"X-{ref.number}"
+        return ref.category != "C" and ref.sub is None and (x == name or not g.has_node(x))
+
+    names = [n for n in g.nodes() if renamable(n)]
+    assume(names)
+    name = data.draw(st.sampled_from(names))
+    x = f"X-{g.node_ref(name).number}"
+    text = str(encode(g, NUMBERED)).replace(f"({name})", f"(frob-{x[2:]})")
+    back, diags = parse(text, strict=False)
+    assert [(d.level, d.code) for d in diags.entries] == [("warning", "unknown-category")], text
+    renamed = {n: x if n == name else n for n in g.nodes()}
+    want = FlowsheetGraph()
+    for n in g.nodes():
+        want.add_node(renamed[n], g.ctrl(n))
+    for src, dst, attr in g.edges():
+        want.add_edge(renamed[src], renamed[dst], attr.kind, attr.tag)
+    assert back == want, text
 
 
 @settings(max_examples=300, deadline=None)
