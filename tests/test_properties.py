@@ -13,9 +13,9 @@ returns the reference's table.  A graph of forced components, which
 encoding never ranks, encodes to the same generalized string under any
 renumbering.  A numbered string written from any rank order
 (``genflow.random_string``) parses back to the same graph and
-re-encodes to the canonical string.  Parsed leniently with one unit's
-category unregistered, it gives the same graph with that unit named X
-and its number kept.
+re-encodes to the canonical string.  With one unit's category made
+unregistered, the numbered string parses leniently to the same graph with
+that unit named X and its number kept.
 
 Whatever bytes or graph document it is given, ``load_json`` returns a
 graph or raises ``SchemaError`` or ``GraphInvariantError``, nothing else.
@@ -134,11 +134,11 @@ def test_lenient_parse_reads_an_unknown_category_as_x_with_its_number(g, data):
     names = [n for n in g.nodes() if renamable(n)]
     assume(names)
     name = data.draw(st.sampled_from(names))
-    x = f"X-{g.node_ref(name).number}"
-    text = str(encode(g, NUMBERED)).replace(f"({name})", f"(frob-{x[2:]})")
+    number = g.node_ref(name).number
+    text = str(encode(g, NUMBERED)).replace(f"({name})", f"(frob-{number})")
     back, diags = parse(text, strict=False)
     assert [(d.level, d.code) for d in diags.entries] == [("warning", "unknown-category")], text
-    renamed = {n: x if n == name else n for n in g.nodes()}
+    renamed = {n: f"X-{number}" if n == name else n for n in g.nodes()}
     want = FlowsheetGraph()
     for n in g.nodes():
         want.add_node(renamed[n], g.ctrl(n))
