@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, groupby
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .model import COLUMN_TAGS, EDGE_KINDS, MATERIAL, SIGNAL, FlowsheetGraph
 
@@ -66,7 +66,7 @@ class RankTable:
     subgraph_order: list[list[str]]
 
 
-def morgan_iterate(ix: _Index, comp: list[int]) -> tuple[list[int], list[int], int, int]:
+def morgan_iterate(ix: _Index, comp: list[int]) -> tuple[list[int], int, int]:
     """Refine node values by summing neighbor values over material edges.
 
     Values start at 1.  Each iteration replaces a node's value with the
@@ -74,32 +74,19 @@ def morgan_iterate(ix: _Index, comp: list[int]) -> tuple[list[int], list[int], i
     parallel edge pair counts its neighbor twice.  Iteration stops once
     the number of distinct values has not improved for
     ``_STAGNATION_WINDOW`` rounds (or after 2*len(comp) rounds).  Returns
-    ``comp`` reordered, the values of the first iteration that reached
-    the best discrimination in that order, the number of distinct values
+    the values of the first iteration that reached the best
+    discrimination, in ``comp``'s order, the number of distinct values
     and the iteration.  Every neighbor of a node in ``comp`` must be in it.
     """
     nbrs = ix.nbrs
-    # Values are kept in order of neighbor count, and each run of nodes
-    # with k neighbors gathers its neighbors' values column by column, so
-    # a round loops in C rather than once per node in Python.
-    perm = sorted(comp, key=lambda i: len(nbrs[i]))
-    if not comp or len(nbrs[perm[0]]) == len(nbrs[perm[-1]]):
-        # A regular component: every round gives every node one value.
-        return perm, [1] * len(comp), min(len(comp), 1), 0
-    where = {i: p for p, i in enumerate(perm)}
-    runs = []
-    for degree, run in groupby(perm, key=lambda i: len(nbrs[i])):
-        run = list(run)
-        # A column of one unit gathers a slice, so it too yields a
-        # sequence.  Units with no neighbor come first and hold 0 from
-        # round 1 on, so their one column gathers their own values.
-        columns = [[where[nbrs[i][k]] for i in run] for k in range(degree)] or [range(len(run))]
-        runs.append(
-            [itemgetter(*c) if len(c) > 1 else itemgetter(slice(c[0], c[0] + 1)) for c in columns]
-        )
-
     # Every value starts at 1, so round 1 gives each node its neighbor count.
-    value = [len(nbrs[i]) for i in perm]
+    value = [len(nbrs[i]) for i in comp]
+    if not comp or min(value) == max(value):
+        # A regular component: every round gives every node one value.
+        return [1] * len(comp), min(len(comp), 1), 0
+    where = {i: p for p, i in enumerate(comp)}
+    around = [[where[j] for j in nbrs[i]] for i in comp]
+
     best, peak, peak_iteration = 1, [1] * len(comp), 0
     stagnant = 0
     for it in range(1, 2 * len(comp) + 1):
@@ -114,12 +101,12 @@ def morgan_iterate(ix: _Index, comp: list[int]) -> tuple[list[int], list[int], i
             if stagnant >= _STAGNATION_WINDOW:
                 break
         last, value = value, []  # the next round
-        for columns in runs:
-            total = columns[0](last)
-            for column in columns[1:]:
-                total = map(add, total, column(last))
-            value += total
-    return perm, peak, best, peak_iteration
+        for positions in around:
+            total = 0
+            for p in positions:
+                total += last[p]
+            value.append(total)
+    return peak, best, peak_iteration
 
 
 class _Index:
@@ -441,6 +428,6 @@ def rank_component(ix: _Index, comp: list[int]) -> list[int]:
     order, lowest rank first, whatever order ``comp`` is in: one
     ``morgan_iterate`` run, its peak values grouped into classes,
     flattened by ``break_ties``."""
-    perm, peak, _best, _iteration = morgan_iterate(ix, comp)
-    by_value = groupby(sorted(zip(peak, perm)), key=itemgetter(0))
+    peak, _best, _iteration = morgan_iterate(ix, comp)
+    by_value = groupby(sorted(zip(peak, comp)), key=itemgetter(0))
     return break_ties(ix, [[i for _value, i in run] for _value, run in by_value])

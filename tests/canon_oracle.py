@@ -56,8 +56,9 @@ def morgan_state(graph: FlowsheetGraph, nodes: list[str] | None = None) -> Morga
     wanted = set(ix.names if nodes is None else nodes)
     keep = [name in wanted for name in ix.names]
     ix.nbrs = [[j for j in nbrs if keep[j]] for nbrs in ix.nbrs]
-    perm, peak, best, iteration = canon.morgan_iterate(ix, [i for i in range(len(keep)) if keep[i]])
-    return MorganState(dict(zip(map(ix.names.__getitem__, perm), peak)), best, iteration)
+    comp = [i for i in range(len(keep)) if keep[i]]
+    peak, best, iteration = canon.morgan_iterate(ix, comp)
+    return MorganState(dict(zip(map(ix.names.__getitem__, comp), peak)), best, iteration)
 
 
 def morgan_iterate(graph: FlowsheetGraph, nodes: list[str] | None = None) -> MorganState:
