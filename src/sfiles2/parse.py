@@ -422,12 +422,6 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
     if not diags.ok():
         return None
 
-    for label, (occ, *others) in groups.items():
-        if not others:
-            message = f"group {{{label}}} has a single member, treating it as ungrouped"
-            diags.add("warning", "singleton-group", message, occ)
-            occ.group = None
-
     graph = None
     if odd is not None:
         message = "only some nodes carry numbers, assigning fresh numbers"
@@ -439,6 +433,11 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
             diags.add("warning", "renumbered", message, bad)
 
     if graph is None:
+        for label, (occ, *others) in groups.items():
+            if not others:
+                message = f"group {{{label}}} has a single member, treating it as ungrouped"
+                diags.add("warning", "singleton-group", message, occ)
+                occ.group = None
         # by first occurrence per category; a group counts as one exchanger
         graph = FlowsheetGraph()
         counters: dict[str, int] = {}

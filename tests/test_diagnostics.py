@@ -528,3 +528,39 @@ def test_lenient_unknown_category_keeps_its_label(text, nodes, diagnostics):
     g, diags = parse(text, strict=False)
     assert [(d.level, d.code, d.message, d.start, d.end) for d in diags.entries] == diagnostics
     assert g.nodes() == nodes
+
+
+_SINGLETON = "group {%s} has a single member, treating it as ungrouped"
+
+
+@pytest.mark.parametrize(
+    "text, nodes, diagnostics",
+    [
+        ("(raw-1)(hex-1/1){1}(hex-1/2)(prod-1)", ["raw-1", "hex-1/1", "hex-1/2", "prod-1"], []),
+        ("(raw-1)(hex-1/1){1}(prod-1)", ["raw-1", "hex-1/1", "prod-1"], []),
+        # one group per number: the second brace renumbers, then each
+        # brace is a singleton of the fresh numbering
+        (
+            "(raw-1)(hex-1/1){1}(hex-1/2){2}(prod-1)",
+            ["raw-1", "hex-1", "hex-2", "prod-1"],
+            [
+                ("warning", "renumbered", _RENUMBERED, 19, 28),
+                ("warning", "singleton-group", _SINGLETON % 1, 7, 16),
+                ("warning", "singleton-group", _SINGLETON % 2, 19, 28),
+            ],
+        ),
+        (
+            "(raw)(hex){1}(hex)(prod)",
+            ["raw-1", "hex-1", "hex-2", "prod-1"],
+            [("warning", "singleton-group", _SINGLETON % 1, 5, 10)],
+        ),
+    ],
+    ids=["labelled-shell", "labelled-lone-sub-unit", "two-groups-one-number", "fresh-numbers"],
+)
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+def test_a_group_brace_is_a_singleton_only_under_fresh_numbers(text, nodes, diagnostics, strict):
+    # A numbered string's braces reach the model as written, so a brace
+    # on a labelled sub-unit is no reason to ungroup it.
+    g, diags = parse(text, strict=strict)
+    assert [(d.level, d.code, d.message, d.start, d.end) for d in diags.entries] == diagnostics
+    assert g.nodes() == nodes
