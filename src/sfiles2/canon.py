@@ -100,7 +100,9 @@ def morgan_iterate(ix: _Index, comp: list[int]) -> tuple[list[int], int, int]:
             stagnant += 1
             if stagnant >= _STAGNATION_WINDOW:
                 break
-        last, value = value, []  # the next round
+        # The next round.  Nested loops, because calling sum() on a list
+        # per unit costs about three times as much on CPython 3.11.
+        last, value = value, []
         for positions in around:
             total = 0
             for p in positions:

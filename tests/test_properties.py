@@ -25,6 +25,7 @@ import dataclasses
 import itertools
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -43,7 +44,7 @@ from sfiles2 import (
     encode, load_json, parse, rank_graph, save_json, tokenize,
 )
 from sfiles2.canon import (
-    _category_ranks, _descriptor, _Index, _reach_counts, _refine, rank_component,
+    _category_ranks, _descriptor, _Index, _reach_counts, _refine, morgan_iterate, rank_component,
 )
 from sfiles2.cli import _json_line
 from sfiles2.encode import (
@@ -263,12 +264,18 @@ def test_forced_encodings_survive_renumbering(g, rng):
 @given(st.one_of(flowsheets(), forced_flowsheets()), st.randoms(use_true_random=False))
 def test_rank_order_ignores_the_order_of_the_component(g, rng):
     # ``rank_graph`` ranks a forced component from its walk order, the
-    # reference from ``components()`` order; the tables must agree.
+    # reference from ``components()`` order; the tables must agree.  The
+    # Morgan kernel keeps ``comp``'s order, so its values by unit must not
+    # depend on that order either.
     ix = _Index(g)
     for comp in ix.components():
         ranked = rank_component(ix, comp)
+        peak, *rest = morgan_iterate(ix, comp)
+        by_unit = dict(zip(comp, peak))
         rng.shuffle(comp)
         assert rank_component(ix, comp) == ranked
+        peak, *shuffled_rest = morgan_iterate(ix, comp)
+        assert (dict(zip(comp, peak)), shuffled_rest) == (by_unit, rest)
 
 
 @st.composite
@@ -405,6 +412,35 @@ def test_random_numbered_strings_parse_back(graphs):
     rng = random.Random(3)
     for g in graphs():
         _random_strings_parse_back(g, rng)
+
+
+# Labels, braces, signal ids and two-digit recycle ids; what lies between
+# them holds only single-digit recycle marks ``k`` and ``<k``.
+_NOT_A_RECYCLE_DIGIT = re.compile(r"(\([^)]*\)|\{[^}]*\}|_[0-9]+|%[0-9]{2})")
+
+
+def _zero_padded_recycles(text: str) -> str:
+    """``text`` with each single-digit recycle mark ``k`` written ``%0k``,
+    and so each ``<k`` written ``<%0k``."""
+    parts = _NOT_A_RECYCLE_DIGIT.split(text)
+    return "".join(p if k % 2 else re.sub("[1-9]", r"%0\g<0>", p) for k, p in enumerate(parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(flowsheets())
+@example(corpus.fixture("reactor_recycle_plant").make())
+@example(corpus.exchanger_loop(8))
+def test_zero_padded_recycle_ids_read_as_single_digits(g):
+    # ``%05`` is the two-digit form of recycle 5, which the encoder never
+    # writes, so a string in that form parses to the graph it came from.
+    for mode in (GENERALIZED, NUMBERED):
+        text = str(encode(g, mode))
+        padded = _zero_padded_recycles(text)
+        back, diags = parse(padded)
+        assert [(d.code, d.message) for d in diags.entries] == [], padded
+        assert str(encode(back, mode)) == text, padded
+        if mode == NUMBERED:
+            assert back == g, padded
 
 
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
