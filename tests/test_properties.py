@@ -13,7 +13,9 @@ returns the reference's table.  A graph of forced components, which
 encoding never ranks, encodes to the same generalized string under any
 renumbering.  A numbered string written from any rank order
 (``genflow.random_string``) parses back to the same graph and
-re-encodes to the canonical string.  With one unit's category made
+re-encodes to the canonical string, and so does a string whose
+single-digit recycle marks are written in their two-digit ``%0k``
+form.  With one unit's category made
 unregistered, the numbered string parses leniently to the same graph with
 that unit named X and its number kept.
 
