@@ -6,13 +6,18 @@ heat exchangers with several streams, the sub-unit index.  Edges carry a
 kind (material or signal) and material edges may carry a column stream
 tag.  Mutations are checked so that every reachable instance is valid
 and serializable.
+
+Node refs and edge attributes are immutable values that graphs share:
+``NodeRef.parse`` keeps one ref per unit name in a table of at most
+16,384 names, so a name already seen is neither built nor checked again,
+and every edge shares the one ``EdgeAttr`` of its (kind, tag) pair.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import GraphInvariantError, SchemaError
 
@@ -37,29 +42,28 @@ class NodeRef:
     """Identity of one unit operation node.
 
     ``sub`` is only meaningful for heat exchangers, where the same piece
-    of equipment appears once per stream passing through it.
+    of equipment appears once per stream passing through it.  ``name`` is
+    formatted once, at construction, and takes no part in equality.
     """
 
     category: str
     number: int
     sub: int | None = None
+    name: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.category.isascii() and self.category.isalpha()):
             raise ValueError(f"bad category: {self.category!r}")
         if self.number < 1:
             raise ValueError(f"equipment number must be positive: {self.number!r}")
+        name = f"{self.category}-{self.number}"
         if self.sub is not None:
             if self.category != "hex":
                 raise ValueError("sub-unit index is only valid on hex nodes")
             if self.sub < 1:
                 raise ValueError(f"sub-unit index must be positive: {self.sub!r}")
-
-    @property
-    def name(self) -> str:
-        if self.sub is None:
-            return f"{self.category}-{self.number}"
-        return f"{self.category}-{self.number}/{self.sub}"
+            name += f"/{self.sub}"
+        object.__setattr__(self, "name", name)
 
     @property
     def equipment(self) -> tuple[str, int]:
@@ -67,23 +71,34 @@ class NodeRef:
 
     @classmethod
     def parse(cls, name: str) -> NodeRef:
-        """The ref named ``name``, which must be its one spelling (see
-        ``_spelled_ref``)."""
+        """The ref named ``name``, which must be its one spelling: numbers
+        have no leading zeros, so ``raw-01`` is not a name of ``raw-1``.
+
+        Every name that passes is kept in ``_REFS`` while it has room, and
+        a later call returns that same ref without checking it again."""
+        ref = _REFS.get(name)
+        if ref is not None:
+            return ref
         m = _LABEL_RE.fullmatch(name)
         if m is None or m[2] is None:
             raise ValueError(f"not a node name: {name!r}")
-        return _spelled_ref(*m.groups())
+        category, number, sub = m.groups()
+        # the fields are checked first, so (raw-00) is refused for its number
+        ref = cls(category, int(number), None if sub is None else int(sub))
+        if number[0] == "0" or sub and sub[0] == "0":
+            raise ValueError(f"not a node name: {name!r}")
+        if len(_REFS) < _REFS_CAP:
+            _REFS[ref.name] = ref
+        return ref
 
 
-def _spelled_ref(category: str, number: str, sub: str | None) -> NodeRef:
-    """The ref named by these parts of a name, which must be its one
-    spelling: numbers have no leading zeros, so ``raw-01`` is not a name
-    of ``raw-1``.  The parser checks numbered labels with this too."""
-    ref = NodeRef(category, int(number), None if sub is None else int(sub))
-    if number[0] == "0" or sub and sub[0] == "0":
-        name = f"{category}-{number}" + ("" if sub is None else f"/{sub}")
-        raise ValueError(f"not a node name: {name!r}")
-    return ref
+# Unit name -> its one ref, shared by every graph in the process, as every
+# edge shares its EdgeAttr below.  A ref is immutable, so sharing it is
+# safe; strings number their units from 1, so a few thousand names cover
+# most decodes.  The table never holds more than _REFS_CAP names: past
+# that, a new name is built and checked on each call but not kept.
+_REFS: dict[str, NodeRef] = {}
+_REFS_CAP = 16_384
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,11 +312,11 @@ def load_json(
         if strict:
             raise SchemaError(f"unknown keys: {sorted(extra)}", field=sorted(extra)[0])
         warn(f"ignoring unknown keys: {sorted(extra)}")
-    for field in ("nodes", "edges"):
-        if field not in doc:
-            raise SchemaError(f"missing field: {field}", field=field)
-        if not isinstance(doc[field], list):
-            raise SchemaError(f"{field} must be a list", field=field)
+    for key in ("nodes", "edges"):
+        if key not in doc:
+            raise SchemaError(f"missing field: {key}", field=key)
+        if not isinstance(doc[key], list):
+            raise SchemaError(f"{key} must be a list", field=key)
 
     g = FlowsheetGraph()
     for i, item in enumerate(doc["nodes"]):

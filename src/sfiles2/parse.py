@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .encode import GENERALIZED, NUMBERED, _encode_both, encode
 from .errors import GraphInvariantError, ParseError
 from .model import (
-    COLUMN_TAGS, CTRL_RE, MATERIAL, SIGNAL, FlowsheetGraph, NodeRef, _LABEL_RE, _spelled_ref,
+    COLUMN_TAGS, CTRL_RE, MATERIAL, SIGNAL, FlowsheetGraph, NodeRef, _LABEL_RE,
 )
 from .validate import REGISTRY
 
@@ -449,10 +449,10 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
                     counters["hex"] = counters.get("hex", 0) + 1
                     ge = group_eq[occ.group] = [counters["hex"], 0]
                 ge[1] += 1
-                graph.add_node(NodeRef("hex", ge[0], ge[1]))
+                graph.add_node(NodeRef.parse(f"hex-{ge[0]}/{ge[1]}"))
             else:
                 number = counters[occ.category] = counters.get(occ.category, 0) + 1
-                graph.add_node(NodeRef(occ.category, number), occ.ctrl)
+                graph.add_node(NodeRef.parse(f"{occ.category}-{number}"), occ.ctrl)
     names = graph.nodes()  # in occurrence order
 
     add_edge = graph.add_edge
@@ -473,15 +473,16 @@ def _labelled_graph(occs: list[_Occ]) -> tuple[FlowsheetGraph | None, _Occ | Non
     group_number: dict[str, str] = {}
     number_group: dict[str, str] = {}
     for occ in occs:
-        number, group = occ.number, occ.group
+        number, sub, group = occ.number, occ.sub, occ.group
+        label = f"{occ.category}-{number}" if sub is None else f"{occ.category}-{number}/{sub}"
         try:
             # ValueError for a label such as (r-1/2), (raw-0) or (raw-01);
             # GraphInvariantError for a repeated name or a plain/sub-unit mix
-            graph.add_node(_spelled_ref(occ.category, number, occ.sub), occ.ctrl)
+            graph.add_node(NodeRef.parse(label), occ.ctrl)
         except (ValueError, GraphInvariantError):
             return None, occ
         if group is not None and (
-            occ.sub is None
+            sub is None
             or group_number.setdefault(group, number) != number
             or number_group.setdefault(number, group) != group
         ):

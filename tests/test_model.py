@@ -1,5 +1,6 @@
 """Graph model: node naming, edge rules, JSON codec."""
 
+import dataclasses
 import json
 import random
 import re
@@ -17,10 +18,14 @@ from sfiles2 import (
     FlowsheetGraph,
     GraphInvariantError,
     NodeRef,
+    NUMBERED,
     SchemaError,
+    encode,
     load_json,
+    parse,
     save_json,
 )
+from sfiles2 import model
 from sfiles2.cli import _json_line
 
 FIXDIR = Path(__file__).parent / "fixtures"
@@ -46,10 +51,18 @@ class TestNodeRef:
          "hex-1/\u0661", "raw-1\n", "hex-1/2\n", "r\u00e9e-1", "raw-01", "hex-1/01", "hex-01/2"],
     )
     def test_parse_rejects(self, bad):
-        with pytest.raises(ValueError):
-            NodeRef.parse(bad)
-        with pytest.raises(ValueError):
-            FlowsheetGraph().add_node(bad)
+        # A rejected name is never kept, so a second call checks it again
+        # and fails with the same message.
+        size = len(model._REFS)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                NodeRef.parse(bad)
+            messages.append(str(exc.value))
+            with pytest.raises(ValueError):
+                FlowsheetGraph().add_node(bad)
+        assert messages[0] == messages[1]
+        assert len(model._REFS) == size
 
     def test_field_validation(self):
         with pytest.raises(ValueError):
@@ -61,10 +74,74 @@ class TestNodeRef:
         with pytest.raises(ValueError):
             NodeRef("hex", 1, 0)
 
-    def test_frozen_and_hashable(self):
-        a = NodeRef.parse("v-1")
-        assert a == NodeRef("v", 1)
-        assert hash(a) == hash(NodeRef("v", 1))
+    @pytest.mark.parametrize(
+        "name, parts, renamed",
+        [("v-1", ("v", 1, None), "v-7"), ("hex-12/3", ("hex", 12, 3), "hex-7/3")],
+    )
+    def test_frozen_and_hashable(self, name, parts, renamed):
+        # A parsed ref may be a shared one from the table; it behaves
+        # exactly like a ref built from its fields.
+        a, b = NodeRef.parse(name), NodeRef(*parts)
+        assert a == b and hash(a) == hash(b)
+        assert a.name == b.name == name
+        assert repr(a) == repr(b) == "NodeRef(category=%r, number=%r, sub=%r)" % parts
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.number = 7
+        assert dataclasses.replace(a, number=7).name == renamed
+        assert a.name == name
+
+
+class TestRefTable:
+    """``NodeRef.parse`` shares one ref per name, in a table of fixed size.
+
+    Each test starts from an empty table, so that what other tests parsed
+    does not decide what is kept."""
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self, monkeypatch):
+        monkeypatch.setattr(model, "_REFS", {})
+
+    def test_table_stays_bounded(self):
+        cap = model._REFS_CAP
+        for k in range(1, cap + 1001):
+            ref = NodeRef.parse(f"raw-{k}")
+            assert (ref.category, ref.number, ref.sub, ref.name) == ("raw", k, None, f"raw-{k}")
+            assert len(model._REFS) <= cap
+        assert len(model._REFS) == cap
+        # names seen before the table filled are shared; later ones are
+        # built and checked on each call
+        assert NodeRef.parse("raw-1") is NodeRef.parse("raw-1")
+        late = f"raw-{cap + 1000}"
+        assert NodeRef.parse(late) is not NodeRef.parse(late)
+        assert NodeRef.parse(late) == NodeRef("raw", cap + 1000)
+
+    def test_graph_named_past_the_cap_roundtrips(self):
+        cap = model._REFS_CAP
+        for k in range(1, cap + 1):
+            NodeRef.parse(f"pp-{k}")
+        names = [f"raw-{cap + 1}", f"hex-{cap + 2}/1", f"pp-{cap + 3}", f"hex-{cap + 2}/2",
+                 f"prod-{cap + 4}"]
+        g = FlowsheetGraph()
+        for name in names:
+            g.add_node(name)
+        for src, dst in zip(names, names[1:]):
+            g.add_edge(src, dst)
+        assert len(model._REFS) == cap
+        numbered = encode(g, NUMBERED)
+        back, diags = parse(numbered)
+        assert diags.ok() and back == g
+        assert encode(back) == encode(g)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(raw-2)(hex-1/1)(C-4){FC}_1(v-3)<_1(hex-1/2)(prod-1)",  # the labels name the units
+         "(raw)(hex){1}(C){FC}_1(v)<_1(hex){1}(prod)"],  # the parser numbers them
+    )
+    def test_second_parse_builds_no_ref(self, text):
+        first, second = parse(text)[0], parse(text)[0]
+        assert first == second and len(first.nodes()) == 6
+        for name in first.nodes():
+            assert first.node_ref(name) is second.node_ref(name)
 
 
 class TestEdgeAttr:
