@@ -13,12 +13,12 @@ import genflow
 import json_oracle
 from sfiles2 import (
     MATERIAL,
+    NUMBERED,
     SIGNAL,
     EdgeAttr,
     FlowsheetGraph,
     GraphInvariantError,
     NodeRef,
-    NUMBERED,
     SchemaError,
     encode,
     load_json,
@@ -74,21 +74,21 @@ class TestNodeRef:
         with pytest.raises(ValueError):
             NodeRef("hex", 1, 0)
 
-    @pytest.mark.parametrize(
-        "name, parts, renamed",
-        [("v-1", ("v", 1, None), "v-7"), ("hex-12/3", ("hex", 12, 3), "hex-7/3")],
-    )
-    def test_frozen_and_hashable(self, name, parts, renamed):
+    def test_frozen_and_hashable(self):
         # A parsed ref may be a shared one from the table; it behaves
         # exactly like a ref built from its fields.
-        a, b = NodeRef.parse(name), NodeRef(*parts)
-        assert a == b and hash(a) == hash(b)
-        assert a.name == b.name == name
-        assert repr(a) == repr(b) == "NodeRef(category=%r, number=%r, sub=%r)" % parts
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            a.number = 7
-        assert dataclasses.replace(a, number=7).name == renamed
-        assert a.name == name
+        for name, parts, renamed in [
+            ("v-1", ("v", 1, None), "v-7"),
+            ("hex-12/3", ("hex", 12, 3), "hex-7/3"),
+        ]:
+            a, b = NodeRef.parse(name), NodeRef(*parts)
+            assert a == b and hash(a) == hash(b)
+            assert a.name == b.name == name
+            assert repr(a) == repr(b) == "NodeRef(category=%r, number=%r, sub=%r)" % parts
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                a.number = 7
+            assert dataclasses.replace(a, number=7).name == renamed
+            assert a.name == name
 
 
 class TestRefTable:
