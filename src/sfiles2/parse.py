@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .encode import GENERALIZED, NUMBERED, _encode_both, encode
 from .errors import GraphInvariantError, ParseError
 from .model import (
-    COLUMN_TAGS, CTRL_RE, MATERIAL, SIGNAL, FlowsheetGraph, NodeRef, _LABEL_RE,
+    COLUMN_TAGS, CTRL_RE, MATERIAL, SIGNAL, FlowsheetGraph, _LABEL_RE,
 )
 from .validate import REGISTRY
 
@@ -124,8 +124,7 @@ _ERROR_MESSAGES = {
 @dataclass(slots=True)
 class _Occ:
     category: str
-    number: str | None  # digits as written
-    sub: str | None
+    suffix: str  # the label after its category as written: "", "-3" or "-1/2"
     start: int
     end: int
     ctrl: str | None = None
@@ -210,9 +209,9 @@ class _Machine:
         m = _LABEL_RE.fullmatch(text)
         if m is None:
             raise self.error("bad-node-name", f"not a unit name: {text!r}", tok)
-        category, number, sub = m.groups()
+        category = m[1]
         idx = len(self.occs)
-        self.occs.append(_Occ(category, number, sub, start, end))
+        self.occs.append(_Occ(category, text[len(category):], start, end))
         frames = self.frames
         if frames and frames[-1].kind == "legacy":
             frame = frames[-1]
@@ -403,7 +402,7 @@ def _run_machine(tokens: list[Token], strict: bool, diags: ParseDiagnostics) -> 
 def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGraph | None:
     occs = m.occs
     odd = None  # the first unit unlike the first unit in carrying a number
-    groups: dict[str, list[_Occ]] = {}
+    groups: dict[str, int] = {}  # group label -> number of members
     for occ in occs:
         if occ.category not in REGISTRY:
             if strict:
@@ -415,10 +414,10 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
                 occ.category = "X"
         if occ.category == "C" and occ.ctrl is None:
             diags.add("error", "missing-ctrl-code", "control node is missing its letter code", occ)
-        if odd is None and (occ.number is None) != (occs[0].number is None):
+        if odd is None and (not occ.suffix) != (not occs[0].suffix):
             odd = occ
         if occ.group is not None:
-            groups.setdefault(occ.group, []).append(occ)
+            groups[occ.group] = groups.get(occ.group, 0) + 1
     if not diags.ok():
         return None
 
@@ -426,34 +425,36 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
     if odd is not None:
         message = "only some nodes carry numbers, assigning fresh numbers"
         diags.add("warning", "mixed-numbering", message, odd)
-    elif occs and occs[0].number is not None:
-        graph, bad = _labelled_graph(occs)
+    elif occs and occs[0].suffix:
+        names = [occ.category + occ.suffix for occ in occs]
+        graph, bad = _graph(occs, names)
         if bad is not None:
             message = "explicit numbering is inconsistent, assigning fresh numbers"
             diags.add("warning", "renumbered", message, bad)
 
     if graph is None:
-        for label, (occ, *others) in groups.items():
-            if not others:
-                message = f"group {{{label}}} has a single member, treating it as ungrouped"
-                diags.add("warning", "singleton-group", message, occ)
-                occ.group = None
-        # by first occurrence per category; a group counts as one exchanger
-        graph = FlowsheetGraph()
+        # By first occurrence per category; a group counts as one exchanger.
+        # No name here breaks a rule of _graph: each is new, a group's
+        # members share a number of their own, and a group of one is ungrouped.
+        names = []
         counters: dict[str, int] = {}
         group_eq: dict[str, list[int]] = {}
         for occ in occs:
+            if occ.group is not None and groups[occ.group] == 1:
+                message = f"group {{{occ.group}}} has a single member, treating it as ungrouped"
+                diags.add("warning", "singleton-group", message, occ)
+                occ.group = None
             if occ.group is not None:
                 ge = group_eq.get(occ.group)
                 if ge is None:
                     counters["hex"] = counters.get("hex", 0) + 1
                     ge = group_eq[occ.group] = [counters["hex"], 0]
                 ge[1] += 1
-                graph.add_node(NodeRef.parse(f"hex-{ge[0]}/{ge[1]}"))
+                names.append(f"hex-{ge[0]}/{ge[1]}")
             else:
                 number = counters[occ.category] = counters.get(occ.category, 0) + 1
-                graph.add_node(NodeRef.parse(f"{occ.category}-{number}"), occ.ctrl)
-    names = graph.nodes()  # in occurrence order
+                names.append(f"{occ.category}-{number}")
+        graph, _bad = _graph(occs, names)
 
     add_edge = graph.add_edge
     for src, dst, kind, tag, at in m.edges:
@@ -464,27 +465,25 @@ def _finalize(m: _Machine, strict: bool, diags: ParseDiagnostics) -> FlowsheetGr
     return graph if diags.ok() else None
 
 
-def _labelled_graph(occs: list[_Occ]) -> tuple[FlowsheetGraph | None, _Occ | None]:
-    """The graph that the string's own labels name and None, or None and
-    the first label that the model refuses as a name of the graph so far
+def _graph(occs: list[_Occ], names: list[str]) -> tuple[FlowsheetGraph | None, _Occ | None]:
+    """The graph of the units ``occs`` named ``names`` and None, or None
+    and the first unit whose name the model refuses for the graph so far
     or whose group brace breaks the parser's rules: groups hold
     sub-units, one number per group and one group per number."""
     graph = FlowsheetGraph()
-    group_number: dict[str, str] = {}
-    number_group: dict[str, str] = {}
-    for occ in occs:
-        number, sub, group = occ.number, occ.sub, occ.group
-        label = f"{occ.category}-{number}" if sub is None else f"{occ.category}-{number}/{sub}"
+    group_number: dict[str, int] = {}
+    number_group: dict[int, str] = {}
+    for occ, name in zip(occs, names):
         try:
-            # ValueError for a label such as (r-1/2), (raw-0) or (raw-01);
+            # ValueError for a name such as r-1/2, raw-0 or raw-01;
             # GraphInvariantError for a repeated name or a plain/sub-unit mix
-            graph.add_node(NodeRef.parse(label), occ.ctrl)
+            ref = graph.add_node(name, occ.ctrl)
         except (ValueError, GraphInvariantError):
             return None, occ
-        if group is not None and (
-            sub is None
-            or group_number.setdefault(group, number) != number
-            or number_group.setdefault(number, group) != group
+        if occ.group is not None and (
+            ref.sub is None
+            or group_number.setdefault(occ.group, ref.number) != ref.number
+            or number_group.setdefault(ref.number, occ.group) != occ.group
         ):
             return None, occ
     return graph, None

@@ -98,13 +98,6 @@ class GraphDiagnostic:
     message: str
 
 
-def _is_mount_edge(graph: FlowsheetGraph, dst: str) -> bool:
-    # A material edge into a C node that passes nothing on is a sensor
-    # mount, not a process stream.
-    ref = graph.node_ref(dst)
-    return ref.category == "C" and graph.material_out_degree(dst) == 0
-
-
 def check_graph(graph: FlowsheetGraph, strict: bool = False) -> list[GraphDiagnostic]:
     """Check every node against the registry degree table.
 
@@ -113,6 +106,12 @@ def check_graph(graph: FlowsheetGraph, strict: bool = False) -> list[GraphDiagno
     always warnings.
     """
     out: list[GraphDiagnostic] = []
+    # A material edge into a C node that passes nothing on is a sensor
+    # mount, not a process stream.
+    mounts = {
+        n for n in graph.nodes()
+        if graph.node_ref(n).category == "C" and graph.material_out_degree(n) == 0
+    }
     for name in sorted(graph.nodes()):
         ref = graph.node_ref(name)
         op = REGISTRY.get(ref.category)
@@ -130,7 +129,7 @@ def check_graph(graph: FlowsheetGraph, strict: bool = False) -> list[GraphDiagno
             n_out = sum(
                 1
                 for dst, attr in graph.out_edges(name)
-                if attr.kind == MATERIAL and not _is_mount_edge(graph, dst)
+                if attr.kind == MATERIAL and dst not in mounts
             )
         for n, spec, side in ((n_in, op.inlets, "inlets"), (n_out, op.outlets, "outlets")):
             if not spec.admits(n):

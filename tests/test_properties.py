@@ -451,7 +451,8 @@ def test_zero_padded_recycle_ids_read_as_single_digits(g):
 def test_a_repeated_label_is_renumbered_where_it_repeats(strict, g, data):
     # Writing an earlier label of its category in place of the k-th label
     # of a numbered string keeps the labels before it consistent, so the
-    # one diagnostic points at the k-th label, and the graph still builds.
+    # one diagnostic points at the k-th label, and the graph still builds:
+    # the fresh numbering of the generalized string, not the labels.
     text = str(encode(g, NUMBERED))
     labels = [tok for tok in tokenize(text) if tok.kind == "node"]
     category = [tok.text.split("-")[0] for tok in labels]
@@ -464,6 +465,7 @@ def test_a_repeated_label_is_renumbered_where_it_repeats(strict, g, data):
     assert [(d.code, d.start, d.end) for d in diags.entries] == [
         ("renumbered", at.start, at.start + len(label) + 2)
     ]
+    assert back == parse(str(encode(g)), strict=strict)[0]
 
 
 # Parts of graph documents, valid and not, for the loader property.
