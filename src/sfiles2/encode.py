@@ -4,9 +4,9 @@ An encoding reads the graph once, into one ``canon._Index``.  Ranking,
 planning and rendering work on its integer node ids and look a name up
 only to write it into a numbered string.  As in SMILES, ranks only pick
 where a walk starts and which branch comes first.  So a forced
-component, a path from its one feed with no branch and no signal
-(``_walk``), writes the same bytes in any rank order: its plan is read
-off its walk (``_forced_plan``) with no DFS, and only ``rank_graph``
+component, a path from its one feed with no branch and no signal,
+writes the same bytes in any rank order: ``_forced_plan`` decides that
+and reads its plan off its walk with no DFS, and only ``rank_graph``
 ranks it.
 
 Emission runs in two passes.  ``traverse`` plans the DFS forest of one
@@ -65,6 +65,7 @@ class EmissionPlan:
     insertions: dict[int, list[int]]  # merge target: roots of the trees converging into it
     anchors: dict[int, str | None]  # source of a tree's converging edge: its tag
     recycles: list[tuple[int, int, str | None]]
+    forced: bool = False  # read off the walk by ``_forced_plan``, never ranked
 
 
 def traverse(ix: _Index, comp: list[int]) -> EmissionPlan:
@@ -293,11 +294,11 @@ def _encode_both(graph: FlowsheetGraph) -> tuple[SfilesString, SfilesString]:
 def rank_graph(graph: FlowsheetGraph) -> RankTable:
     """Rank every node 1..n within its component and order the components.
 
-    Both come from ``_plans``, except that a forced component, planned
-    in walk order, is ranked here.
+    Both come from ``_plans``, except that a plan marked ``forced``, in
+    walk order, is ranked here.
     """
     ix = _Index(graph)
-    ranked = [rank_component(ix, p.nodes) if _walk(ix, p.nodes) else p.nodes for p in _plans(ix)]
+    ranked = [rank_component(ix, p.nodes) if p.forced else p.nodes for p in _plans(ix)]
     order = [[ix.names[i] for i in comp] for comp in ranked]
     return RankTable({name: r for comp in order for r, name in enumerate(comp, 1)}, order)
 
@@ -317,8 +318,7 @@ def _plans(ix: _Index) -> list[EmissionPlan]:
     """
     by_size: dict[int, list[EmissionPlan]] = {}
     for comp in ix.components():
-        walk = _walk(ix, comp)
-        plan = _forced_plan(ix, walk) if walk else traverse(ix, rank_component(ix, comp))
+        plan = _forced_plan(ix, comp) or traverse(ix, rank_component(ix, comp))
         by_size.setdefault(len(comp), []).append(plan)
 
     names = ix.names
@@ -344,17 +344,20 @@ def _plans(ix: _Index) -> list[EmissionPlan]:
     return final
 
 
-def _walk(ix: _Index, comp: list[int]) -> list[int] | None:
-    """``comp``'s units in walk order from its feed, if ``comp`` is forced,
-    else ``None``.
+def _forced_plan(ix: _Index, comp: list[int]) -> EmissionPlan | None:
+    """``comp``'s plan, read off its walk from its feed, if ``comp`` is
+    forced, else ``None``.
 
     A component is forced when exactly one of its units has no material
     inlet, none has more than one material outlet and none has a signal
     edge.  It is then a path from that feed, which may end in one recycle
     back into itself: every unit is on the walk, ``traverse`` and
     ``_write`` never compare two of its units, and no other unit's marks
-    sort on its positions.  So any rank order writes the same bytes.
-    The check stops at the first unit that breaks it.
+    sort on its positions.  So any rank order writes the same bytes, and
+    the plan is ``traverse(ix, walk)``: the feed is the only root, each
+    unit's one outlet its tree edge, except the last unit's, which can
+    only lead back into the walk and so is the only recycle, and nothing
+    converges.  The check stops at the first unit that breaks it.
     """
     mat_out, mat_in, sig_out, sig_in = ix.mat_out, ix.mat_in, ix.sig_out, ix.sig_in
     feed = None
@@ -368,24 +371,14 @@ def _walk(ix: _Index, comp: list[int]) -> list[int] | None:
     if feed is None:
         return None
     walk = [feed]
+    children = {}  # each unit's one (target, tag)
     for _ in range(len(comp) - 1):
-        walk.append(mat_out[walk[-1]][0][0])
-    return walk
-
-
-def _forced_plan(ix: _Index, walk: list[int]) -> EmissionPlan:
-    """``traverse(ix, walk)`` of a forced component, read off its walk.
-
-    The feed is the only root and each unit's one outlet its tree edge,
-    except the last unit's, which can only lead back into the walk: its
-    outlet, if it has one, is the only recycle.  Nothing converges, so
-    there are no insertions or anchors.
-    """
-    children = {node: ix.mat_out[node] for node in walk}  # each the unit's one (target, tag)
-    last = children.pop(walk[-1])
+        out = children[walk[-1]] = mat_out[walk[-1]]
+        walk.append(out[0][0])
+    last = mat_out[walk[-1]]
     recycles = [(walk[-1], *last[0])] if last else []
     pos = {node: p for p, node in enumerate(walk)}
-    return EmissionPlan(walk, pos, walk[:1], children, {}, {}, recycles)
+    return EmissionPlan(walk, pos, walk[:1], children, {}, {}, recycles, forced=True)
 
 
 def _shape(ix: _Index, plan: EmissionPlan) -> tuple:

@@ -52,6 +52,9 @@ class NodeRef:
     name: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if (type(self.category), type(self.number)) != (str, int) or (
+                self.sub is not None and type(self.sub) is not int):  # a bool is refused too
+            raise ValueError(f"bad node ref fields: {self!r}")
         if not (self.category.isascii() and self.category.isalpha()):
             raise ValueError(f"bad category: {self.category!r}")
         if self.number < 1:

@@ -529,19 +529,21 @@ class TestLazyStages:
             original = getattr(encode_module, route)
 
             def recorded(ix, comp):
-                planned.append((sorted(ix.names[i] for i in comp), route))
-                return original(ix, comp)
+                plan = original(ix, comp)
+                if plan:
+                    planned.append((sorted(ix.names[i] for i in comp), route))
+                return plan
 
             monkeypatch.setattr(encode_module, route, recorded)
 
-        record("traverse")
-        record("_forced_plan")
         ix = _Index(graph)
         routes = {
             tuple(sorted(ix.names[i] for i in comp)):
-                "_forced_plan" if encode_module._walk(ix, comp) else "traverse"
+                "_forced_plan" if encode_module._forced_plan(ix, comp) else "traverse"
             for comp in ix.components()
         }
+        record("traverse")
+        record("_forced_plan")
         for mode in ("generalized", "numbered"):
             planned.clear()
             encode(graph, mode)
@@ -561,13 +563,25 @@ class TestLazyStages:
     ):
         # Ranking plans every component once, as encoding does: a ranked
         # one with one ``traverse``, a forced one from its walk and never
-        # with ``traverse``.  It calls ``component_string`` once per
-        # distinct shape among equally sized components.
+        # with ``traverse``.  Each component is checked for being forced
+        # once, and ranking reads the answer off the plan, with no second
+        # walk.  It calls ``component_string`` once per distinct shape
+        # among equally sized components.
         traversed = _count_calls(monkeypatch, encode_module, "traverse")
-        walked = _count_calls(monkeypatch, encode_module, "_forced_plan")
+        checked, walked = [0], [0]
+        original = encode_module._forced_plan
+
+        def counted(ix, comp):
+            plan = original(ix, comp)
+            checked[0] += 1
+            walked[0] += plan is not None
+            return plan
+
+        monkeypatch.setattr(encode_module, "_forced_plan", counted)
         keyed = _count_calls(monkeypatch, encode_module, "component_string")
         rank_graph(graph)
         assert (traversed[0], walked[0], keyed[0]) == (ranked, forced, shapes)
+        assert checked[0] == len(canon_oracle._components(graph))
 
     @pytest.mark.parametrize("graph, ranked, encoded", _RANKING_CALLS, ids=_RANKING_CALLS_IDS)
     def test_encoding_ranks_no_forced_component(self, monkeypatch, graph, ranked, encoded):
@@ -589,9 +603,10 @@ class TestLazyStages:
         ids=_PLANNED_IDS + ["mixed_trains"],
     )
     def test_numbered_strings_only_inside_equal_runs(self, monkeypatch, graph, tied):
-        # Ordering equally sized components renders no numbered string.
-        # Only the members of a run of equal generalized strings are
-        # keyed by their unit names, and each of their units is read once.
+        # Two things, although the name speaks of numbered strings: no
+        # numbered string is rendered at all, and ``_plans`` reads unit
+        # names only for the members of runs of equal generalized strings,
+        # each of their units once.
         renders = []
         original = encode_module._render
 

@@ -8,7 +8,7 @@ import corpus
 import genflow
 from sfiles2 import EncodeError, FlowsheetGraph, encode, parse_sfiles, roundtrip_check
 from sfiles2.canon import _Index
-from sfiles2.encode import _walk
+from sfiles2.encode import _forced_plan
 
 
 @pytest.mark.parametrize("key", [f.key for f in corpus.FIXTURES])
@@ -368,13 +368,14 @@ _RING = ["hex-1", "hex-2", "hex-3", "hex-4"]
     ],
 )
 def test_walk(graph, walks):
-    # A component is walked only when it is a path from its one feed
-    # with no branch and no signal, whatever order its units come in.
+    # A component is planned from its walk only when it is a path from
+    # its one feed with no branch and no signal, whatever order its units
+    # come in.
     ix = _Index(graph)
     for comp, walk in zip(ix.components(), walks, strict=True):
         for units in (comp, comp[::-1]):
-            got = _walk(ix, units)
-            assert (got and [ix.names[i] for i in got]) == walk
+            got = _forced_plan(ix, units)
+            assert (got and [ix.names[i] for i in got.nodes]) == walk
 
 
 def test_long_chain_encodes_without_recursion_limit():

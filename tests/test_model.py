@@ -73,6 +73,17 @@ class TestNodeRef:
             NodeRef("r\u00e9e", 1)
         with pytest.raises(ValueError):
             NodeRef("hex", 1, 0)
+        # Only a str category and int numbers make a name that reparses;
+        # a bool is refused although it is an int.
+        for fields in [
+            ("raw", 1.5), ("raw", True), ("raw", "1"), (1, 1), ("hex", 1, True), ("hex", 1, 2.0),
+        ]:
+            with pytest.raises(ValueError):
+                NodeRef(*fields)
+        g = FlowsheetGraph()
+        with pytest.raises(ValueError):
+            g.add_node(NodeRef("raw", 1.5))
+        assert g.nodes() == []
 
     def test_frozen_and_hashable(self):
         # A parsed ref may be a shared one from the table; it behaves

@@ -50,7 +50,7 @@ from sfiles2.canon import (
 )
 from sfiles2.cli import _json_line
 from sfiles2.encode import (
-    EmissionPlan, _forced_plan, _plans, _render, _walk, component_string, traverse,
+    EmissionPlan, _forced_plan, _plans, _render, component_string, traverse,
 )
 from sfiles2.model import COLUMN_TAGS, CTRL_RE, EDGE_KINDS, MATERIAL
 from sfiles2.validate import REGISTRY
@@ -254,7 +254,7 @@ def test_forced_encodings_survive_renumbering(g, rng):
     # A forced component is planned in walk order, never ranked, and
     # writes the same bytes as the ranked reference in either mode.
     ix = _Index(g)
-    assert all(_walk(ix, comp) for comp in ix.components())
+    assert all(_forced_plan(ix, comp) for comp in ix.components())
     for mode in (GENERALIZED, NUMBERED):
         assert str(encode(g, mode)) == encode_oracle.encode(g, mode)
     text = str(encode(g))
@@ -342,14 +342,17 @@ def test_rank_graph_matches_the_reference(g):
 )
 def test_forced_plans_are_their_traversal(g):
     # A forced component's plan, read off its walk, is the plan that the
-    # depth-first search gives the walk, field by field.
+    # depth-first search gives the walk, field by field; only the flag
+    # that marks it forced differs.
     ix = _Index(g)
     for comp in ix.components():
-        walk = _walk(ix, comp)
-        if walk:
-            plan, searched = _forced_plan(ix, walk), traverse(ix, walk)
+        plan = _forced_plan(ix, comp)
+        if plan:
+            searched = traverse(ix, plan.nodes)
+            assert plan.forced and not searched.forced
             for f in dataclasses.fields(EmissionPlan):
-                assert getattr(plan, f.name) == getattr(searched, f.name), f.name
+                if f.name != "forced":
+                    assert getattr(plan, f.name) == getattr(searched, f.name), f.name
 
 
 # Numbers of one to five digits, so that names such as raw-9, raw-10 and
