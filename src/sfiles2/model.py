@@ -8,9 +8,9 @@ tag.  Mutations are checked so that every reachable instance is valid
 and serializable.
 
 Node refs and edge attributes are immutable values that graphs share:
-``NodeRef.parse`` keeps one ref per unit name in a table of at most
-16,384 names, so a name already seen is neither built nor checked again,
-and every edge shares the one ``EdgeAttr`` of its (kind, tag) pair.
+``NodeRef.parse`` keeps one ref for each of the 16,384 most recently
+used names that passed, so such a name is neither built nor checked
+again, and every edge shares the one ``EdgeAttr`` of its (kind, tag) pair.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import GraphInvariantError, SchemaError
 
@@ -72,36 +73,23 @@ class NodeRef:
     def equipment(self) -> tuple[str, int]:
         return (self.category, self.number)
 
-    @classmethod
-    def parse(cls, name: str) -> NodeRef:
+    @staticmethod
+    @lru_cache(maxsize=16_384)
+    def parse(name: str) -> NodeRef:
         """The ref named ``name``, which must be its one spelling: numbers
         have no leading zeros, so ``raw-01`` is not a name of ``raw-1``.
 
-        Every name that passes is kept in ``_REFS`` while it has room, and
-        a later call returns that same ref without checking it again."""
-        ref = _REFS.get(name)
-        if ref is not None:
-            return ref
+        The 16,384 most recently used names that passed share one ref
+        each, which a later call returns without a second check."""
         m = _LABEL_RE.fullmatch(name)
         if m is None or m[2] is None:
             raise ValueError(f"not a node name: {name!r}")
         category, number, sub = m.groups()
         # the fields are checked first, so (raw-00) is refused for its number
-        ref = cls(category, int(number), None if sub is None else int(sub))
+        ref = NodeRef(category, int(number), None if sub is None else int(sub))
         if number[0] == "0" or sub and sub[0] == "0":
             raise ValueError(f"not a node name: {name!r}")
-        if len(_REFS) < _REFS_CAP:
-            _REFS[ref.name] = ref
         return ref
-
-
-# Unit name -> its one ref, shared by every graph in the process, as every
-# edge shares its EdgeAttr below.  A ref is immutable, so sharing it is
-# safe; strings number their units from 1, so a few thousand names cover
-# most decodes.  The table never holds more than _REFS_CAP names: past
-# that, a new name is built and checked on each call but not kept.
-_REFS: dict[str, NodeRef] = {}
-_REFS_CAP = 16_384
 
 
 @dataclass(frozen=True, slots=True)

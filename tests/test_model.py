@@ -25,7 +25,6 @@ from sfiles2 import (
     parse,
     save_json,
 )
-from sfiles2 import model
 from sfiles2.cli import _json_line
 
 FIXDIR = Path(__file__).parent / "fixtures"
@@ -53,7 +52,7 @@ class TestNodeRef:
     def test_parse_rejects(self, bad):
         # A rejected name is never kept, so a second call checks it again
         # and fails with the same message.
-        size = len(model._REFS)
+        size = NodeRef.parse.cache_info().currsize
         messages = []
         for _ in range(2):
             with pytest.raises(ValueError) as exc:
@@ -62,7 +61,7 @@ class TestNodeRef:
             with pytest.raises(ValueError):
                 FlowsheetGraph().add_node(bad)
         assert messages[0] == messages[1]
-        assert len(model._REFS) == size
+        assert NodeRef.parse.cache_info().currsize == size
 
     def test_field_validation(self):
         with pytest.raises(ValueError):
@@ -86,7 +85,7 @@ class TestNodeRef:
         assert g.nodes() == []
 
     def test_frozen_and_hashable(self):
-        # A parsed ref may be a shared one from the table; it behaves
+        # A parsed ref may be a shared one from the memo; it behaves
         # exactly like a ref built from its fields.
         for name, parts, renamed in [
             ("v-1", ("v", 1, None), "v-7"),
@@ -103,31 +102,44 @@ class TestNodeRef:
 
 
 class TestRefTable:
-    """``NodeRef.parse`` shares one ref per name, in a table of fixed size.
+    """``NodeRef.parse`` shares one ref per name, in a memo of fixed size.
 
-    Each test starts from an empty table, so that what other tests parsed
-    does not decide what is kept."""
+    Each test starts from an empty memo, so that what other tests parsed
+    does not decide what is kept, and leaves it empty."""
 
     @pytest.fixture(autouse=True)
-    def empty_table(self, monkeypatch):
-        monkeypatch.setattr(model, "_REFS", {})
+    def empty_memo(self):
+        NodeRef.parse.cache_clear()
+        yield
+        NodeRef.parse.cache_clear()
 
     def test_table_stays_bounded(self):
-        cap = model._REFS_CAP
+        cap = NodeRef.parse.cache_info().maxsize
         for k in range(1, cap + 1001):
             ref = NodeRef.parse(f"raw-{k}")
             assert (ref.category, ref.number, ref.sub, ref.name) == ("raw", k, None, f"raw-{k}")
-            assert len(model._REFS) <= cap
-        assert len(model._REFS) == cap
-        # names seen before the table filled are shared; later ones are
-        # built and checked on each call
-        assert NodeRef.parse("raw-1") is NodeRef.parse("raw-1")
+            assert NodeRef.parse.cache_info().currsize <= cap
+        assert NodeRef.parse.cache_info().currsize == cap
+        # the most recently used names are shared; the earliest ones were
+        # evicted and are built and checked again
         late = f"raw-{cap + 1000}"
-        assert NodeRef.parse(late) is not NodeRef.parse(late)
-        assert NodeRef.parse(late) == NodeRef("raw", cap + 1000)
+        assert NodeRef.parse(late) is NodeRef.parse(late)
+        first = NodeRef.parse("raw-1")
+        assert first == NodeRef("raw", 1) and first.name == "raw-1"
+
+    def test_recent_names_are_shared_after_a_long_string(self):
+        # A string with more new names than the memo holds leaves room
+        # for the names parsed after it.
+        n = NodeRef.parse.cache_info().maxsize + 1000
+        diags = parse("(raw-1)" + "".join(f"(pp-{k})" for k in range(1, n + 1)) + "(prod-1)")[1]
+        assert diags.ok()
+        first, second = parse("(raw-1)(v-1)(prod-1)")[0], parse("(raw-1)(v-1)(prod-1)")[0]
+        assert sorted(first.nodes()) == ["prod-1", "raw-1", "v-1"]
+        for name in first.nodes():
+            assert second.node_ref(name) is first.node_ref(name)
 
     def test_graph_named_past_the_cap_roundtrips(self):
-        cap = model._REFS_CAP
+        cap = NodeRef.parse.cache_info().maxsize
         for k in range(1, cap + 1):
             NodeRef.parse(f"pp-{k}")
         names = [f"raw-{cap + 1}", f"hex-{cap + 2}/1", f"pp-{cap + 3}", f"hex-{cap + 2}/2",
@@ -137,7 +149,7 @@ class TestRefTable:
             g.add_node(name)
         for src, dst in zip(names, names[1:]):
             g.add_edge(src, dst)
-        assert len(model._REFS) == cap
+        assert NodeRef.parse.cache_info().currsize == cap
         numbered = encode(g, NUMBERED)
         back, diags = parse(numbered)
         assert diags.ok() and back == g
@@ -296,6 +308,9 @@ class TestGraphConstruction:
             ],
         )
         assert g != h2
+        # a graph equals only a graph
+        assert FlowsheetGraph() != object()
+        assert FlowsheetGraph().__eq__(1) is NotImplemented
 
 
 def _index_graphs() -> list[FlowsheetGraph]:

@@ -9,7 +9,7 @@ import pytest
 import corpus
 import genflow
 import iso
-from sfiles2 import encode, parse, parse_sfiles, roundtrip_check
+from sfiles2 import EncodeError, encode, parse, parse_sfiles, roundtrip_check
 
 _SUFFIX = re.compile(r"-\d+(?:/\d+)?\)")
 
@@ -87,6 +87,12 @@ def test_numbered_roundtrip_restores_exact_graph(key):
     f = corpus.fixture(key)
     g = f.make()
     assert parse_sfiles(str(encode(g, mode="numbered"))) == g
+    try:
+        legacy = str(encode(g, mode="numbered", legacy_converging=True))
+    except EncodeError:  # a graph the legacy form cannot write
+        return
+    back, diags = parse(legacy)
+    assert diags.entries == [] and back == g
 
 
 @pytest.mark.parametrize("key", [f.key for f in corpus.FIXTURES])
@@ -99,12 +105,26 @@ def test_canonical_string_is_idempotent(key):
 
 def test_random_flowsheets_roundtrip():
     rng = random.Random(20240817)
+    legacy_forms = branched = 0
     for trial in range(300):
         g = genflow.random_flowsheet(rng)
         report = roundtrip_check(g)
         assert report.ok, (trial, report.problems)
         again = parse_sfiles(str(encode(g, mode="numbered")))
         assert again == g, trial
+        try:
+            legacy = str(encode(g, legacy_converging=True))
+        except EncodeError:  # a graph the legacy form cannot write
+            continue
+        legacy_forms += 1
+        branched += "[<" in legacy
+        back, diags = parse(str(encode(g, mode="numbered", legacy_converging=True)))
+        assert diags.entries == [] and back == g, trial
+        back, diags = parse(legacy)
+        assert diags.entries == [], trial
+        assert str(encode(back)) == str(encode(g)), trial
+    # most plants have a legacy form, and many of those a converging branch
+    assert legacy_forms >= 250 and branched >= 100
 
 
 def test_random_small_flowsheets_match_up_to_isomorphism():
