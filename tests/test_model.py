@@ -124,7 +124,9 @@ class TestRefTable:
         # evicted and are built and checked again
         late = f"raw-{cap + 1000}"
         assert NodeRef.parse(late) is NodeRef.parse(late)
+        misses = NodeRef.parse.cache_info().misses
         first = NodeRef.parse("raw-1")
+        assert NodeRef.parse.cache_info().misses == misses + 1
         assert first == NodeRef("raw", 1) and first.name == "raw-1"
 
     def test_recent_names_are_shared_after_a_long_string(self):
